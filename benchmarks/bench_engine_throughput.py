@@ -3,7 +3,7 @@
 These are genuine pytest-benchmark timings of the hot paths that set
 the campaign's wall-clock cost: the flip-flop-level CPU step, the
 lockstep compare, the golden-trace build (both tiers), one differential
-injection, and the batch-vectorised engine against the scalar engine
+injection, and the compiled batch engine against the scalar engine
 on an identical fault pool.
 """
 
@@ -137,21 +137,17 @@ def _fault_pool(golden: GoldenTrace, count: int) -> list[Fault]:
     ]
 
 
-@pytest.mark.parametrize(
-    "batch,kernel",
-    ((0, None), (1, "numpy"), (16, "numpy"), (64, "numpy"), (256, "numpy"),
-     (64, "cext"), (256, "cext")),
-    ids=("scalar", "b1", "b16", "b64", "b256", "b64-cext", "b256-cext"))
-def test_batch_engine_throughput(benchmark, batch, kernel):
+@pytest.mark.parametrize("batch", (0, 1, 16, 64, 256),
+                         ids=("scalar", "b1", "b16", "b64", "b256"))
+def test_batch_engine_throughput(benchmark, batch):
     """Scalar vs batch engine on one 2000-fault pool, outcomes asserted.
 
     ``batch=0`` is the scalar :class:`InjectionEngine` row every batch
     row is compared against (same group, so pytest-benchmark prints the
-    relative speedups directly).  The batch rows pin their kernel
-    backend explicitly; the cext rows skip on hosts where the compiled
-    kernel is unavailable.
+    relative speedups directly).  The batch rows run on the compiled
+    kernel and skip on hosts where it is unavailable.
     """
-    if kernel == "cext" and not cext_available():
+    if batch and not cext_available():
         pytest.skip(f"compiled kernel unavailable: {cext_build_error()}")
     golden = GoldenTrace.cached(KERNELS["ttsprk"])
     faults = _fault_pool(golden, 2000)
@@ -164,10 +160,10 @@ def test_batch_engine_throughput(benchmark, batch, kernel):
     else:
         def run():
             engine = BatchInjectionEngine(golden, max_observe=2000,
-                                          batch=batch, kernel=kernel)
+                                          batch=batch)
             return engine.inject_all(faults)
 
     outcomes = benchmark.pedantic(run, rounds=2, iterations=1)
-    # Any engine/batch size/kernel must produce the identical outcome list.
+    # Any engine/batch size must produce the identical outcome list.
     scalar_engine = InjectionEngine(golden, max_observe=2000)
     assert outcomes == [scalar_engine.inject(f) for f in faults]

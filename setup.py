@@ -3,8 +3,8 @@
 ``pip install -e .`` compiles ``repro.faults._cstep._cstep`` from the
 single C translation unit below; the extension is *optional* — any
 build failure (no compiler, broken headers) is swallowed and the
-install completes with the pure-numpy kernel as the runtime fallback
-(see repro/faults/kernels.py).  The dev flow without an install
+install completes and campaigns fall back to the scalar injection
+engine at run time (see repro/faults/kernels.py).  The dev flow without an install
 (``PYTHONPATH=src``) doesn't need this file at all: the ``_cstep``
 package auto-builds into a user cache with the system cc on first use.
 """
@@ -37,7 +37,7 @@ class optional_build_ext(build_ext):
     @staticmethod
     def _warn(exc):
         print(f"WARNING: building the optional _cstep extension failed "
-              f"({exc}); the numpy kernel will be used instead.")
+              f"({exc}); campaigns will run the scalar engine instead.")
 
 
 setup(

@@ -1,10 +1,9 @@
 """Reading and appending the ``BENCH_campaign.json`` perf trajectory.
 
 The repo-root trajectory file is append-only across PRs, which means
-it permanently contains *mixed-schema* rows: schema-1 single-payload
-pruning dicts absorbed at the format change, early schema-2 rows
-without timestamps, batch rows from before the kernel knob existed
-(no ``batch_cext``), and so on.  Consumers (the CI throughput gates,
+it permanently contains *mixed-shape* rows: early rows without
+timestamps, batch rows from before the kernel knob existed (no
+``batch_cext``), and so on.  Consumers (the CI throughput gates,
 benchmark baselines) must therefore never index blindly into the
 newest row shape — this module is the guarded loader they share.
 
@@ -20,22 +19,19 @@ import time
 import warnings
 from pathlib import Path
 
-#: Supported top-level container schema versions.
-KNOWN_SCHEMAS = (1, 2)
+#: The container schema version this module reads and writes.
 CURRENT_SCHEMA = 2
 
 
 def load_entries(path: str | Path) -> list[dict]:
     """Load every history entry from a trajectory file.
 
-    Handles all committed formats: the schema-2 container
-    ``{"schema": 2, "entries": [...]}`` and the legacy schema-1 file
-    that held a single pruning payload (absorbed as one entry).  A
+    The file is the container ``{"schema": 2, "entries": [...]}``.  A
     future container schema raises — silently misreading a newer
-    format is how gates pass vacuously — while unreadable files warn
-    and return no history (the gates then fall back to measuring
-    without a baseline rather than failing the build on a corrupt
-    artifact).
+    format is how gates pass vacuously — while unreadable files
+    (corrupt JSON, or JSON that is not such a container) warn and
+    return no history (the gates then fall back to measuring without
+    a baseline rather than failing the build on a corrupt artifact).
     """
     path = Path(path)
     if not path.exists():
@@ -50,16 +46,16 @@ def load_entries(path: str | Path) -> list[dict]:
         warnings.warn(f"bench history {path} is not a JSON object",
                       RuntimeWarning, stacklevel=2)
         return []
-    if isinstance(payload.get("entries"), list):
-        schema = payload.get("schema")
-        if schema not in KNOWN_SCHEMAS:
-            raise ValueError(
-                f"bench history {path} has unsupported schema {schema!r} "
-                f"(known: {KNOWN_SCHEMAS})")
-        return [entry for entry in payload["entries"]
-                if isinstance(entry, dict)]
-    # Legacy schema-1: one pruning payload, no container.
-    return [{"kind": "pruning", "timestamp": None, **payload}]
+    if not isinstance(payload.get("entries"), list):
+        warnings.warn(f"bench history {path} has no entries list",
+                      RuntimeWarning, stacklevel=2)
+        return []
+    schema = payload.get("schema")
+    if schema != CURRENT_SCHEMA:
+        raise ValueError(
+            f"bench history {path} has unsupported schema {schema!r} "
+            f"(known: {CURRENT_SCHEMA})")
+    return [entry for entry in payload["entries"] if isinstance(entry, dict)]
 
 
 def has_keys(entry: dict, required: tuple[str, ...]) -> bool:
@@ -93,10 +89,10 @@ def latest_entry(path: str | Path, kind: str,
 
 
 def append_entry(path: str | Path, kind: str, payload: dict) -> dict:
-    """Append one timestamped entry, migrating legacy files in place.
+    """Append one timestamped entry.
 
     Returns the entry written.  The container is always rewritten at
-    :data:`CURRENT_SCHEMA` with the full (possibly migrated) history.
+    :data:`CURRENT_SCHEMA` with the full history.
     """
     path = Path(path)
     entries = load_entries(path)

@@ -78,16 +78,17 @@ def _add_campaign_args(parser: argparse.ArgumentParser,
                              "are bit-identical either way — this is an "
                              "escape hatch / benchmarking baseline")
     parser.add_argument("--batch", type=int, default=None, metavar="N",
-                        help="run the vectorised injection engine with N "
-                             "fault lanes per numpy op (e.g. 256); records "
-                             "are bit-identical to the scalar engine for "
-                             "any value")
+                        help="run the batch injection engine with N "
+                             "fault lanes per compiled-kernel call (e.g. "
+                             "256; the scalar engine runs instead when no "
+                             "C compiler is available); records are "
+                             "bit-identical to the scalar engine for any "
+                             "value")
     parser.add_argument("--kernel", choices=KERNEL_CHOICES, default=None,
-                        help="step backend for the vectorised engine: "
-                             "'cext' (compiled, error if unavailable), "
-                             "'numpy', or 'auto' (default: compiled when "
-                             "available); records are bit-identical for "
-                             "any backend")
+                        help="batch kernel: 'cext' (compiled, error if "
+                             "unavailable) or 'auto' (default: compiled "
+                             "when available, else the scalar engine); "
+                             "records are bit-identical either way")
     parser.add_argument("--executor", choices=EXECUTOR_CHOICES, default=None,
                         help="shard fan-out backend with --workers > 1: "
                              "'process' (default; pool of worker "
@@ -461,9 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--worker", default="worker", metavar="ID",
                    help="worker identity reported in leases")
     p.add_argument("--batch", type=int, default=None, metavar="N",
-                   help="vectorised-engine lane count (as in campaign)")
+                   help="batch-engine lane count (as in campaign)")
     p.add_argument("--kernel", choices=KERNEL_CHOICES, default=None,
-                   help="step backend for the vectorised engine")
+                   help="batch kernel (as in campaign)")
     p.add_argument("--cstep-threads", type=int, default=None, metavar="N",
                    dest="cstep_threads",
                    help="compiled-kernel drive-loop threads (as in campaign)")

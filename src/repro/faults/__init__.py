@@ -20,11 +20,8 @@ from .golden import (
 )
 from .injector import InjectionEngine, PruneStats
 from .kernels import (
-    KERNEL_BREAKEVEN_LANES,
     KERNEL_CHOICES,
-    KERNEL_ENV,
     THREADS_ENV,
-    breakeven_lanes,
     cext_available,
     cext_build_error,
     resolve_kernel,
@@ -61,8 +58,7 @@ __all__ = [
     "CAMPAIGN_MEM_WORDS", "GOLDEN_CACHE_ENV", "GoldenTrace", "LoggingMemory",
     "golden_cache_dir",
     "InjectionEngine", "PruneStats",
-    "KERNEL_BREAKEVEN_LANES", "KERNEL_CHOICES", "KERNEL_ENV", "THREADS_ENV",
-    "breakeven_lanes", "cext_available", "cext_build_error",
+    "KERNEL_CHOICES", "THREADS_ENV", "cext_available", "cext_build_error",
     "resolve_kernel", "resolve_threads",
     "EXECUTOR_CHOICES", "Shard", "plan_shards", "resolve_chunk",
     "resolve_executor", "resolve_workers",

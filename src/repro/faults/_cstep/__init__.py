@@ -16,9 +16,9 @@ Two ways the extension can be present:
 
 Both paths are best-effort: any failure (no compiler, sandboxed
 filesystem, exotic platform) leaves :data:`MODULE` as ``None`` and
-:data:`BUILD_ERROR` holding the reason, and the engine falls back to
-the numpy kernel.  Set ``REPRO_CSTEP_BUILD=0`` to skip the auto-build
-(used by the CI fallback leg to prove the pure-Python path).
+:data:`BUILD_ERROR` holding the reason, and campaigns fall back to the
+scalar injection engine.  Set ``REPRO_CSTEP_BUILD=0`` to skip the
+auto-build (used by the CI fallback leg to prove the pure-Python path).
 """
 
 from __future__ import annotations

@@ -1,24 +1,20 @@
 /* Compiled fused batch-step kernel for the SoA fault-injection engine.
  *
- * The numpy kernel in repro/faults/batch.py advances every live lane
- * one cycle per ~150 numpy dispatches; below a few hundred lanes the
- * fixed dispatch cost dominates (DESIGN.md §5.14).  This module
- * removes that floor: `drive()` executes the batch driver's hot loop
- * — stuck-at force, golden port compare, full state step, and the
- * routine masking/re-convergence check bookkeeping — in plain C,
- * fusing as many cycles per call as possible and returning to Python
- * only for the rare-path events (lane retirement, equivalence-class
+ * `drive()` executes the batch driver's hot loop — stuck-at force,
+ * golden port compare, full state step, and the routine
+ * masking/re-convergence check bookkeeping — in plain C, fusing as
+ * many cycles per call as possible and returning to Python only for
+ * the rare-path events (lane retirement, equivalence-class
  * resolution, stuck-at fast-forward, divergence record construction),
- * which the Python driver then handles with exactly the same code the
- * pure-numpy path uses.  `step()` advances lanes one cycle with no
- * driver logic, so tests can compare the C state transition against
- * the numpy `_step` matrix-for-matrix.
+ * which the Python driver in repro/faults/batch.py handles.  `step()`
+ * advances lanes one cycle with no driver logic, so tests can compare
+ * the C state transition against the scalar reference lane by lane.
  *
- * Semantics are a statement-by-statement mirror of
- * `BatchInjectionEngine._step` (itself a mirror of `Cpu.step`); the
- * per-cycle SoA parity test in tests/test_kernels.py holds the two
- * kernels bit-identical.  No numpy C API is used — all arrays arrive
- * through the buffer protocol, so the module builds against any
+ * Semantics are a statement-by-statement mirror of `Cpu.step`
+ * (repro/cpu/core.py); the per-cycle parity test in
+ * tests/test_kernels.py holds every lane's state and memory equal to
+ * `Cpu.step` after every cycle.  No numpy C API is used — all arrays
+ * arrive through the buffer protocol, so the module builds against any
  * CPython 3.x with no third-party headers.
  *
  * Layout contract (enforced by itemsize/shape checks):
@@ -110,7 +106,7 @@ typedef struct {
 
 #define S_(row, lane) x->S[(size_t)(row) * (size_t)x->B + (size_t)(lane)]
 
-/* One lane, one cycle: the vectorised `_step` unrolled per lane. */
+/* One lane, one cycle: `Cpu.step` over one SoA column. */
 static void step_lane(Ctx *x, Py_ssize_t i)
 {
     const RowMap *r = &x->r;
@@ -653,8 +649,8 @@ done_s:
  * Runs every lane independently to its own next rare-path event
  * (lanes outer, cycles inner — one lane's SoA column is ~100 cache
  * lines, so the inner loop runs entirely out of L1 regardless of the
- * batch width).  Per cycle and per lane the order matches the numpy
- * driver exactly: horizon check, masking/re-convergence check (with
+ * batch width).  Per cycle and per lane the order matches the scalar
+ * engine's inject loop exactly: horizon check, masking/re-convergence check (with
  * the routine bookkeeping — stride bumps, stuck-at interval backoff —
  * handled inline), force re-assert, golden port compare, step.  A lane
  * parks, without stepping further, when
@@ -662,18 +658,17 @@ done_s:
  *   - it reaches its observation horizon (t >= end),
  *   - its state goes bit-identical to golden at a check cycle (soft
  *     retire, or stuck-at fast-forward — the pre-force compare, as in
- *     the numpy driver), or
+ *     the scalar engine), or
  *   - its ports differ from golden at its current cycle; the lane is
  *     left pre-step with the force applied, so the Python detection
- *     path sees exactly what the numpy kernel would have seen.
+ *     path reads the port tuple the scalar `Cpu.step` returns.
  *
  * Returns (cycles_run, diverged): cycles_run is the total number of
  * lane-cycles actually stepped (the caller charges it verbatim to
  * PruneStats.sim_cycles), diverged is 1 iff at least one lane parked
  * on a port divergence.  On return *every* lane is parked at one of
- * the three events above; the Python phases (a)/(b)/(d) re-derive
- * which from the lane state itself and retire/fast-forward/record
- * through the same code path as the numpy kernel.
+ * the three events above; the Python driver re-derives which from
+ * the lane state itself and retires, fast-forwards or records it.
  *
  * Threading: drive() drops the GIL for the whole loop and, for
  * n_threads > 1, statically partitions the lane range into contiguous
@@ -731,7 +726,7 @@ static int drive_lane(const DriveJob *d, Py_ssize_t i,
         /* Rare-path events: observation horizon, or state equal to
          * golden at a check cycle (retire / fast-forward).  Routine
          * check outcomes (state differs) are handled inline exactly
-         * as the numpy driver would: soft lanes re-check every
+         * as the scalar engine does: soft lanes re-check every
          * `stride` cycles, stuck-at lanes back off exponentially.
          * The checks run pre-force on purpose — the scalar engine's
          * snapshot at the same cycle is equally unforced. */
@@ -848,17 +843,18 @@ static struct {
     int pending;                /* workers still to finish current gen */
     const DriveJob *job;
     int n_slices;
-    SliceResult results[MAX_DRIVE_THREADS];   /* worker w -> slice w+1 */
+    int next_slice;             /* next unclaimed slice of current gen */
+    SliceResult results[MAX_DRIVE_THREADS];   /* slice k -> results[k-1] */
 } pool = {
     PTHREAD_MUTEX_INITIALIZER, PTHREAD_MUTEX_INITIALIZER,
     PTHREAD_COND_INITIALIZER, PTHREAD_COND_INITIALIZER,
-    0, 0, 0, 0, 0, NULL, 0, {{0, 0, 0}},
+    0, 0, 0, 0, 0, NULL, 0, 0, {{0, 0, 0}},
 };
 
 static void *drive_worker(void *arg)
 {
-    int id = (int)(intptr_t)arg;
     unsigned long seen;
+    (void)arg;
     pthread_mutex_lock(&pool.lock);
     /* A worker spawned while a job is in flight (ensure_pool growing
      * the pool for a different caller) must not join that job — its
@@ -870,11 +866,16 @@ static void *drive_worker(void *arg)
             pthread_cond_wait(&pool.work_cv, &pool.lock);
         seen = pool.gen;
         {
+            /* Slices go to workers in wake-up order, not by worker id:
+             * the ready workers need not be the lowest ids, and a
+             * slice keyed to a worker that was not ready at dispatch
+             * would never run. */
             const DriveJob *job = pool.job;
             int n_slices = pool.n_slices;
+            int k = pool.next_slice++;
             pthread_mutex_unlock(&pool.lock);
-            if (job != NULL && id + 1 < n_slices)
-                run_slice(job, id + 1, n_slices, &pool.results[id]);
+            if (job != NULL && k < n_slices)
+                run_slice(job, k, n_slices, &pool.results[k - 1]);
             pthread_mutex_lock(&pool.lock);
         }
         if (--pool.pending == 0)
@@ -909,7 +910,7 @@ static int ensure_pool(int want)
             break;
         pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
         if (pthread_create(&tid, &attr, drive_worker,
-                           (void *)(intptr_t)pool.spawned) != 0) {
+                           NULL) != 0) {
             pthread_attr_destroy(&attr);
             break;              /* degrade to the threads we have */
         }
@@ -923,8 +924,9 @@ static int ensure_pool(int want)
  * the calling thread), merging the per-slice triples.  The live slice
  * count is clamped, under the lock, to the workers actually parked in
  * their loop — a freshly spawned worker that hasn't reached its wait
- * yet must not be assigned a slice it would never run.  Every ready
- * worker joins the generation barrier even when it has no slice.
+ * yet skips this generation, so only ready workers claim slices.
+ * Every ready worker joins the generation barrier even when it has no
+ * slice.
  * Called with the GIL released and pool.busy held. */
 static void run_job(const DriveJob *job, int want_slices,
                     SliceResult *out)
@@ -939,6 +941,7 @@ static void run_job(const DriveJob *job, int want_slices,
     if (n_slices > 1) {
         pool.job = job;
         pool.n_slices = n_slices;
+        pool.next_slice = 1;
         pool.pending = pool.ready;
         pool.gen += 1;
         dispatched = 1;

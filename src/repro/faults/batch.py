@@ -1,50 +1,47 @@
-"""Batch-vectorized fault injection: N scenarios per numpy operation.
+"""Batch fault injection: N scenarios per compiled-kernel call.
 
 The scalar :class:`~repro.faults.injector.InjectionEngine` advances one
 faulty core per Python ``Cpu.step()`` call.  This module keeps the
 *same algorithm* — deferred starts, masking checks, stuck-at
 re-convergence fast-forward, dynamic equivalence classes — but lays the
 microarchitectural state of many in-flight fault scenarios out as a
-structure-of-arrays matrix and advances all of them with one vectorized
-``step`` per cycle:
+structure-of-arrays matrix and hands all of them to the compiled
+``_cstep.drive()`` loop at once:
 
 * ``S`` is a ``(n_regs + 2, B)`` uint32 matrix (the datapath is 32 bits
   wide, so wrap-around replaces explicit truncation masks): one column
   per live lane (scenario), one row per
   :data:`~repro.cpu.units.REGISTRY` flop register, plus a
   hardwired-zero read row and a write-sink row so that every decode
-  gather/scatter is total (``r0`` reads, ``rd=0`` writes and unmapped
-  CSR accesses index those rows instead of branching);
+  gather/scatter in the kernel is total (``r0`` reads, ``rd=0`` writes
+  and unmapped CSR accesses index those rows instead of branching);
 * ``M`` is a ``(B, mem_words)`` uint32 matrix of per-lane memories;
-* decode is a gather through dense opcode tables from
-  :mod:`repro.cpu.isa` (the same tables ``core.py`` dispatches on), and
-  every DX/MW/IF update is a masked elementwise operation over lanes;
-  irregular paths (store-buffer drains, BTB scatter, CSR file, traps)
-  extract the few affected lanes with ``nonzero`` and re-merge;
-* divergence and masking are whole-lane vectorized compares against the
-  packed golden ``port_matrix``/``state_matrix`` columns;
+* ``drive()`` runs every lane to its own next rare-path event
+  (observation horizon, state equal to golden at a check cycle, or a
+  port divergence) and parks it there; the Python driver below then
+  retires, fast-forwards or records each parked lane;
 * retired lanes (detected, masked, or fast-forward-pruned) are
   compacted out by moving the last live column into the hole, so the
   batch stays dense and refills from the pending fault queue.
 
 Lanes run at *independent* cycle indices: a per-lane time vector ``t``
-addresses the golden matrices column-wise, so a freshly seeded lane and
+addresses the golden matrices row-wise, so a freshly seeded lane and
 a lane deep into its observation window share the same kernel call.
 
 Equivalence with the scalar engine (digest parity) is by construction:
 
 * the scalar loop compares the port tuple *returned by* ``step()`` —
-  i.e. the port view of the pre-step state at cycle ``t``.  The batch
-  driver compares the state's port rows at ``t`` *before* stepping,
-  which is the same value; a detection therefore fires at the same
-  cycle with the same port tuple (one extra ``sim_cycles`` is charged
-  at detection to mirror the scalar step that produced the tuple);
+  i.e. the port view of the pre-step state at cycle ``t``.  The kernel
+  compares the state's port rows at ``t`` *before* stepping, which is
+  the same value; a detection therefore fires at the same cycle with
+  the same port tuple (one extra ``sim_cycles`` is charged at
+  detection to mirror the scalar step that produced the tuple);
 * the scalar soft masking check runs after stepping cycle ``t`` when
   ``(t - start) % stride == 0``, against golden state ``t + 1`` — the
-  batch check runs pre-step at ``t'`` for ``t'`` in ``start + 1``,
+  kernel check runs pre-step at ``t'`` for ``t'`` in ``start + 1``,
   ``start + 1 + stride``, ...: the same cycles, same states;
 * the scalar stuck-at re-convergence check runs post-step at
-  ``t == next_check`` on the unforced snapshot — the batch check runs
+  ``t == next_check`` on the unforced snapshot — the kernel check runs
   pre-step at ``t == next_chk`` *before* the per-cycle force is
   re-applied: the same unforced state.  Fast-forward reseeds the lane
   from the golden state/memory at the next (observed) activation;
@@ -53,6 +50,9 @@ Equivalence with the scalar engine (digest parity) is by construction:
   is caught by the port compare (divergence) or runs out of window
   (masked) before its halted state could matter — there is no frozen
   state to preserve, hence no run-mask in the kernel.
+
+Without a C compiler there is no batch engine: campaigns run the scalar
+engine instead (see :mod:`repro.faults.kernels`).
 """
 
 from __future__ import annotations
@@ -71,13 +71,13 @@ from .golden import GoldenTrace
 from .injector import _CONVERGE_CHECK_START, PruneStats
 from .models import ErrorRecord, Fault, FaultKind
 
-_U64 = np.uint64
 #: The datapath is 32 bits wide (no REGISTRY flop exceeds 32 bits), so
 #: lane state runs in uint32: half the memory traffic of the packed
 #: uint64 golden matrices, and 32-bit wrap-around makes every
 #: ``& 0xFFFFFFFF`` truncation free.
 _U32 = np.uint32
 _M32 = 0xFFFFFFFF
+_I64 = np.int64
 
 #: Number of genuine flop registers (rows 0 .. N_REGS-1 of ``S``).
 N_REGS = len(REGISTRY)
@@ -87,52 +87,23 @@ ZERO_ROW = N_REGS
 TRASH_ROW = N_REGS + 1
 N_ROWS = N_REGS + 2
 
-# -- register rows ------------------------------------------------------------
-
 _R = REG_INDEX
-PC = _R["pc"]
-BTB_TAG0 = _R["btb_tag0"]
-BTB_TGT0 = _R["btb_tgt0"]
-BTB_V = _R["btb_v"]
-IMC_ADDR = _R["imc_addr"]; IMC_DATA = _R["imc_data"]
-IMC_VALID = _R["imc_valid"]; IMC_PRED = _R["imc_pred"]; IMC_PTGT = _R["imc_ptgt"]
-IF_IR = _R["if_ir"]; IF_PC = _R["if_pc"]; IF_VALID = _R["if_valid"]
-IF_PRED = _R["if_pred"]; IF_PTGT = _R["if_ptgt"]
-MW_VAL = _R["mw_val"]; MW_PC = _R["mw_pc"]; MW_RD = _R["mw_rd"]
-MW_WEN = _R["mw_wen"]; MW_VALID = _R["mw_valid"]; MW_ISLOAD = _R["mw_isload"]
-MUL_A = _R["mul_a"]; MUL_B = _R["mul_b"]; MUL_PENDING = _R["mul_pending"]
-FLAGS = _R["flags"]; SFLAGS = _R["sflags"]
-BR_TARGET = _R["br_target"]; BR_TAKEN = _R["br_taken"]; BR_VALID = _R["br_valid"]
-RET_PC = _R["ret_pc"]; RET_VAL = _R["ret_val"]
-RET_RD = _R["ret_rd"]; RET_VALID = _R["ret_valid"]
-LSU_ADDR = _R["lsu_addr"]; LSU_WDATA = _R["lsu_wdata"]
-LSU_OP = _R["lsu_op"]; LSU_VALID = _R["lsu_valid"]
-SB_ADDR = _R["sb_addr"]; SB_DATA = _R["sb_data"]
-SB_VALID = _R["sb_valid"]; SB_OP = _R["sb_op"]
-DMC_ADDR = _R["dmc_addr"]; DMC_WDATA = _R["dmc_wdata"]; DMC_RDATA = _R["dmc_rdata"]
-DMC_CTRL = _R["dmc_ctrl"]; DMC_STRB = _R["dmc_strb"]
-MPU_BASE0 = _R["mpu_base0"]; MPU_LIMIT0 = _R["mpu_limit0"]; MPU_CTRL = _R["mpu_ctrl"]
-BUS_ADDR = _R["bus_addr"]; BUS_DATA = _R["bus_data"]; BUS_CTRL = _R["bus_ctrl"]
-IO_OUT = _R["io_out"]; IO_OUT_V = _R["io_out_v"]
-IO_IN = _R["io_in"]; IO_IN_IDX = _R["io_in_idx"]
-STATUS = _R["status"]; CAUSE = _R["cause"]; EPC = _R["epc"]
-CYC = _R["cyc"]; HALTED = _R["halted"]
-DBG_BKPT0 = _R["dbg_bkpt0"]; DBG_BKPT1 = _R["dbg_bkpt1"]
-DBG_WATCH0 = _R["dbg_watch0"]; DBG_CTRL = _R["dbg_ctrl"]
-IRQ_MASK = _R["irq_mask"]; IRQ_PENDING = _R["irq_pending"]
-CNT_BRANCH = _R["cnt_branch"]; CNT_MEM = _R["cnt_mem"]
+STATUS = _R["status"]
+HALTED = _R["halted"]
+BR_TAKEN = _R["br_taken"]
+BR_VALID = _R["br_valid"]
 
 # -- decode gather tables (shared semantics with core.py) ---------------------
 
-#: opcode -> execution class (CLS_*), dense intp for lane gathers.
-OPC_CLS = np.array(isa.OPCODE_CLASS, dtype=np.intp)
+#: opcode -> execution class (CLS_*).
+OPC_CLS = np.array(isa.OPCODE_CLASS, dtype=_I64)
 OPC_VALID = np.array(isa.OPCODE_VALID, dtype=bool)
 OPC_IMM = np.array(isa.OPCODE_ALU_IMM, dtype=bool)
 
 #: opcode -> ALU selector: index into the stacked single-cycle ALU
 #: results (0 = none, 1 = ADD .. 10 = SLTU; immediate forms alias their
 #: register-register op).
-ALU_SEL = np.zeros(64, dtype=np.intp)
+ALU_SEL = np.zeros(64, dtype=_I64)
 for _n in range(1, 11):
     ALU_SEL[_n] = _n
 for _n, _rr in ((16, 1), (17, 3), (18, 4), (19, 5), (20, 6), (21, 7), (22, 8), (23, 9)):
@@ -147,17 +118,17 @@ LSU_OP_OF[int(isa.Op.STB)] = 4
 
 #: register-file field value -> S row (field 0 reads zero, writes sink).
 RF_READ_ROW = np.array(
-    [ZERO_ROW] + [_R[f"rf{i}"] for i in range(1, 16)], dtype=np.intp)
+    [ZERO_ROW] + [_R[f"rf{i}"] for i in range(1, 16)], dtype=_I64)
 RF_WRITE_ROW = np.array(
-    [TRASH_ROW] + [_R[f"rf{i}"] for i in range(1, 16)], dtype=np.intp)
+    [TRASH_ROW] + [_R[f"rf{i}"] for i in range(1, 16)], dtype=_I64)
 
 #: CSR number (14-bit imm field, unsigned) -> S row / write mask.  A
 #: negative imm has bit 13 set, indexing the unmapped upper half —
 #: exactly the scalar dict-miss behaviour (read 0 / write dropped).
-CSR_READ_ROW = np.full(1 << 14, ZERO_ROW, dtype=np.intp)
+CSR_READ_ROW = np.full(1 << 14, ZERO_ROW, dtype=_I64)
 for _num, _reg in isa.CSR_READ_REG.items():
     CSR_READ_ROW[_num] = _R[_reg]
-CSR_WRITE_ROW = np.full(1 << 14, TRASH_ROW, dtype=np.intp)
+CSR_WRITE_ROW = np.full(1 << 14, TRASH_ROW, dtype=_I64)
 CSR_WRITE_MASK = np.zeros(1 << 14, dtype=_U32)
 for _num, (_reg, _mask) in isa.CSR_WRITE_REG.items():
     CSR_WRITE_ROW[_num] = _R[_reg]
@@ -170,22 +141,15 @@ PORT_ROWS16 = np.array([_R[name] for name in (
     "dmc_addr", "dmc_wdata", "dmc_ctrl", "dmc_strb",
     "bus_addr", "bus_data", "bus_ctrl",
     "io_out", "io_out_v",
-    "ret_pc", "ret_val", "ret_rd", "ret_valid")], dtype=np.intp)
-
-#: BTB way index -> valid bit / clear mask (avoids per-lane 1<<idx).
-BIT4 = np.array([1, 2, 4, 8], dtype=_U32)
-NOT4 = np.array([0xE, 0xD, 0xB, 0x7], dtype=_U32)
+    "ret_pc", "ret_val", "ret_rd", "ret_valid")], dtype=_I64)
 
 _FULL32 = _U32(0xFFFFFFFF)
-
-# The scalar-drain breakeven lives in kernels.KERNEL_BREAKEVEN_LANES:
-# it is a property of the backend (numpy's ~150-dispatch fixed cost vs
-# one C call), not of this engine.
 
 # -- compiled kernel tables ---------------------------------------------------
 
 #: S-row names in the exact order of the C kernel's RowMap struct
-#: (_cstepmodule.c).  The per-cycle SoA parity test catches any drift.
+#: (_cstepmodule.c).  The per-cycle C-vs-``Cpu.step`` parity test
+#: catches any drift.
 _ROW_ORDER = (
     "pc", "btb_tag0", "btb_tgt0", "btb_v",
     "imc_addr", "imc_data", "imc_valid", "imc_pred", "imc_ptgt",
@@ -219,7 +183,7 @@ def _cext_tables() -> tuple:
     """
     global _CEXT_TABLES
     if _CEXT_TABLES is None:
-        rowmap = np.array([_R[name] for name in _ROW_ORDER], dtype=np.int64)
+        rowmap = np.array([_R[name] for name in _ROW_ORDER], dtype=_I64)
         consts = np.array([
             isa.CLS_ALU, isa.CLS_MUL, isa.CLS_LUI, isa.CLS_MEM,
             isa.CLS_BRANCH, isa.CLS_JAL, isa.CLS_JALR, isa.CLS_IN,
@@ -231,25 +195,22 @@ def _cext_tables() -> tuple:
             int(isa.Op.MUL), int(isa.Op.LD), int(isa.Op.LDB),
             int(isa.Op.ST), int(isa.Op.STB), int(isa.Op.BEQ),
             N_REGS,
-        ], dtype=np.int64)
+        ], dtype=_I64)
         _CEXT_TABLES = (
-            rowmap, consts,
-            OPC_CLS.astype(np.int64), OPC_VALID, OPC_IMM,
-            ALU_SEL.astype(np.int64), LSU_OP_OF,
-            RF_READ_ROW.astype(np.int64), RF_WRITE_ROW.astype(np.int64),
-            CSR_READ_ROW.astype(np.int64), CSR_WRITE_ROW.astype(np.int64),
-            CSR_WRITE_MASK, PORT_ROWS16.astype(np.int64),
+            rowmap, consts, OPC_CLS, OPC_VALID, OPC_IMM, ALU_SEL, LSU_OP_OF,
+            RF_READ_ROW, RF_WRITE_ROW, CSR_READ_ROW, CSR_WRITE_ROW,
+            CSR_WRITE_MASK, PORT_ROWS16,
         )
     return _CEXT_TABLES
 
 
 def _golden_c_matrices(golden: GoldenTrace) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major uint32 views of the golden matrices for the C kernel.
+    """Row-major uint32 views of the golden state and port matrices.
 
-    The numpy kernel gathers cycle *columns* and wants the transposed
-    copies (``_smT``/``_pmT``); the C kernel walks one cycle row at a
-    time and wants plain C order.  Cached on the trace so every engine
-    (and every shard in a worker process) shares one copy.
+    One row per cycle: the C kernel walks one cycle row at a time, and
+    the Python driver reads single rows (lane seeding, fast-forward)
+    from the same arrays.  Cached on the trace so every engine (and
+    every shard in a worker process) shares one copy.
     """
     sm32 = getattr(golden, "_cstep_sm32", None)
     if sm32 is None:
@@ -260,70 +221,42 @@ def _golden_c_matrices(golden: GoldenTrace) -> tuple[np.ndarray, np.ndarray]:
     return sm32, golden._cstep_pm32
 
 
-_CLS_ALU = isa.CLS_ALU
-_CLS_MUL = isa.CLS_MUL
-_CLS_LUI = isa.CLS_LUI
-_CLS_MEM = isa.CLS_MEM
-_CLS_BRANCH = isa.CLS_BRANCH
-_CLS_JAL = isa.CLS_JAL
-_CLS_JALR = isa.CLS_JALR
-_CLS_IN = isa.CLS_IN
-_CLS_OUT = isa.CLS_OUT
-_CLS_CSRR = isa.CLS_CSRR
-_CLS_CSRW = isa.CLS_CSRW
-_CLS_NOP = isa.CLS_NOP
-_CLS_HALT = isa.CLS_HALT
-
-
-def _sign32(a: np.ndarray) -> np.ndarray:
-    """uint32 array -> int32 two's-complement reinterpretation."""
-    return a.astype(np.int32)
-
-
 class BatchInjectionEngine:
     """Structure-of-arrays fault-injection engine (digest parity with scalar).
 
     Drop-in algorithmic twin of
     :class:`~repro.faults.injector.InjectionEngine`: identical records,
     identical :class:`~repro.faults.injector.PruneStats`, batched
-    execution.  Use :meth:`inject_all` with the full per-shard fault
-    list (equivalence classes and the convergence caches live across
-    the whole list, as they do across sequential ``inject`` calls).
+    execution through the compiled kernel.  Use :meth:`inject_all` with
+    the full per-shard fault list (equivalence classes and the
+    convergence caches live across the whole list, as they do across
+    sequential ``inject`` calls).  Raises ``RuntimeError`` when the
+    compiled kernel is unavailable.
     """
 
     def __init__(self, golden: GoldenTrace, max_observe: int | None = None,
                  mask_check_stride: int = 4, prune: bool = True,
                  batch: int = 256, tail_lanes: int | None = None,
-                 kernel: str | None = None, threads: int | None = None):
+                 threads: int | None = None):
+        _kernels.resolve_kernel("cext")  # raises without the extension
+        self._cext = _kernels.cext_module()
         self.golden = golden
         self.max_observe = max_observe
         self.mask_check_stride = max(1, mask_check_stride)
         self.prune = prune
         self.batch = max(1, batch)
-        #: Resolved step-kernel backend ("cext" or "numpy"); see
-        #: :mod:`repro.faults.kernels` for the selection rules.
-        self.kernel = _kernels.resolve_kernel(kernel)
-        self._cext = _kernels.cext_module() if self.kernel == "cext" else None
-        #: Drive-loop thread count for the compiled kernel (the numpy
-        #: kernel ignores it).  Any value is digest-identical — lane
-        #: slices merge in lane order — so this is purely a wall-clock
-        #: knob; see DESIGN §5.17 for the slice-width math.
+        #: Drive-loop thread count.  Any value is digest-identical —
+        #: lane slices merge in lane order — so this is purely a
+        #: wall-clock knob; see DESIGN §5.17 for the slice-width math.
         self.threads = _kernels.resolve_threads(threads, lanes=self.batch)
-        # Below this many live lanes the batch kernel's fixed per-call
-        # cost exceeds per-lane Python stepping, so such lanes are
-        # finished scalar: as the straggler tail once the queue is
-        # empty, or — when the batch size itself is at or below the
-        # breakeven — for the entire run (the engine then degrades
-        # gracefully to scalar speed instead of paying the dispatch
-        # cost at hopeless occupancy).  The breakeven is per-backend
-        # (kernels.KERNEL_BREAKEVEN_LANES): ~192 lanes for numpy's
-        # ~150-dispatch step, a handful for the compiled kernel whose
-        # only fixed cost is one C call.  Any value yields identical
+        # At or below this many live lanes, lanes are finished with
+        # per-lane Python stepping: as the straggler tail once the
+        # queue is empty, or — when the batch size itself is at or
+        # below it — for the entire run.  Any value yields identical
         # digests (the drain replays the exact per-lane decision
-        # sequence); 0 disables the fallback.
+        # sequence); 0 disables the drain.
         if tail_lanes is None:
-            tail_lanes = min(self.batch,
-                             _kernels.breakeven_lanes(self.kernel))
+            tail_lanes = min(self.batch, _kernels.TAIL_LANES)
         self._tail_lanes = tail_lanes
         self._tail_cpu: Cpu | None = None
         self.stats = PruneStats()
@@ -333,17 +266,10 @@ class BatchInjectionEngine:
         self.S = np.zeros((N_ROWS, B), dtype=_U32)
         #: Per-lane memory images.
         self.M = np.zeros((B, golden.mem_words), dtype=_U32)
-        # Column-major golden matrices: per-lane gathers address one
-        # cycle column each, so transposed-contiguous wins; narrowed to
-        # the lane dtype (all values are 32-bit) so compares stay cheap.
-        self._smT = golden.state_matrix.T.astype(_U32)
-        self._pmT = golden.port_matrix.T.astype(_U32)
+        self._sm32, self._pm32 = _golden_c_matrices(golden)
+        self._tables = _cext_tables()
         self._g_ports = golden.port_tuples()
         self._stim = np.array(golden.stimulus.values, dtype=_U32)
-        self._stim_len = len(golden.stimulus.values)
-        if self._cext is not None:
-            self._sm32, self._pm32 = _golden_c_matrices(golden)
-            self._tables = _cext_tables()
 
         # Per-lane bookkeeping.
         self.t = np.zeros(B, dtype=np.int64)          # current cycle
@@ -359,7 +285,6 @@ class BatchInjectionEngine:
         self.is_hard = np.zeros(B, dtype=bool)
         self.info: list[tuple[Fault, tuple[str, int, int] | None] | None] = [None] * B
         self._n = 0
-        self._lanes = np.arange(B, dtype=np.intp)
 
         #: (reg, bit, start) -> (outcome, span); shared across inject_all calls.
         self._soft_classes: dict[
@@ -367,7 +292,6 @@ class BatchInjectionEngine:
             tuple[tuple[int, frozenset[int]] | None, int]] = {}
         self._parked: dict[tuple[str, int, int], list[tuple[int, int]]] = {}
         self._outcomes: list[ErrorRecord | None] = []
-
     # -- public API ----------------------------------------------------------
 
     def inject_all(self, faults) -> list[ErrorRecord | None]:
@@ -472,10 +396,9 @@ class BatchInjectionEngine:
     def _seed_many(self, pending: deque) -> None:
         """Seed up to ``batch - n`` lanes from the fault queue in bulk.
 
-        Vectorised counterpart of :meth:`_seed`: under the compiled
-        kernel whole generations of lanes retire at once, so refills
-        arrive hundreds at a time and per-lane numpy dispatch dominated
-        the seeding phase.  Same lane state, one fancy-indexed
+        Vectorised counterpart of :meth:`_seed`: whole generations of
+        lanes retire at once, so refills arrive hundreds at a time and
+        per-lane numpy dispatch would dominate the seeding phase.  Same lane state, one fancy-indexed
         assignment per array (only the per-start memory reconstruction
         stays a loop — each start replays a different write-log span).
         """
@@ -487,7 +410,7 @@ class BatchInjectionEngine:
         self._n = i0 + take
         sl = slice(i0, i0 + take)
         starts = np.fromiter((s[2] for s in specs), np.int64, count=take)
-        self.S[:N_REGS, sl] = self._smT[:, starts]
+        self.S[:N_REGS, sl] = self._sm32[starts].T
         self.S[ZERO_ROW, sl] = 0
         self.S[TRASH_ROW, sl] = 0
         info = self.info
@@ -524,7 +447,7 @@ class BatchInjectionEngine:
         seq, fault, start, end, key = spec
         i = self._n
         self._n = i + 1
-        self.S[:N_REGS, i] = self._smT[:, start]
+        self.S[:N_REGS, i] = self._sm32[start]
         self.S[ZERO_ROW, i] = 0
         self.S[TRASH_ROW, i] = 0
         self.golden.memory_words_at(start, out=self.M[i])
@@ -615,12 +538,11 @@ class BatchInjectionEngine:
         stats = self.stats
         name = golden.workload.name
         g_ports = self._g_ports
-        B = self.batch
         t = self.t
-        # A batch at or below the breakeven can never amortize the
-        # kernel dispatch cost: drain scalar even while faults are
-        # still pending (the outer loop refills and drains again).
-        all_scalar = B <= self._tail_lanes
+        # A batch at or below the tail size drains scalar for the whole
+        # run, even while faults are still pending (the outer loop
+        # refills and drains again).
+        all_scalar = self.batch <= self._tail_lanes
         while self._n or pending:
             self._seed_many(pending)
             n = self._n
@@ -628,111 +550,77 @@ class BatchInjectionEngine:
                 self._drain_scalar()
                 continue
 
-            # Compiled kernel: one C call runs *every* lane to its own
-            # next rare-path event (lanes outer, cycles inner — each
-            # lane's column stays L1-resident however wide the batch
-            # is), fusing phases (c)/(d)/(e) and the routine phase-(b)
-            # check-interval bumps inline.  On return every lane is
-            # parked at a horizon, state-equality or port-divergence
-            # event, pre-step with forces applied where the numpy
-            # driver would have them — so the phases below re-derive
-            # the event kind from the lane state itself and handle
-            # retirement, fast-forward, detection and record
-            # construction through the numpy code path unchanged.
-            # Parked lanes re-entering the call park again instantly
-            # (zero cycles), so each driver iteration still strictly
-            # progresses: it retires, records, or fast-forwards at
-            # least one lane.
-            if self._cext is not None:
-                ran, _hit = self._cext.drive(
-                    self.S, self.M, self._sm32, self._pm32, self._stim,
-                    t, self.end, self.next_chk, self.chk_iv,
-                    self.is_hard, self.force_row, self.force_and,
-                    self.force_or, self._tables, n,
-                    self.mask_check_stride, 1 << 30, self.threads)
-                stats.sim_cycles += ran
+            # One C call runs *every* lane to its own next rare-path
+            # event (lanes outer, cycles inner — each lane's column
+            # stays L1-resident however wide the batch is), folding
+            # force, port compare, step and the routine check-interval
+            # bumps inline.  On return every lane is parked pre-step at
+            # exactly one event, which the loop below re-derives from
+            # the lane state: horizon, state equal to golden at its
+            # check cycle, or port divergence (force applied).
+            ran, _hit = self._cext.drive(
+                self.S, self.M, self._sm32, self._pm32, self._stim,
+                t, self.end, self.next_chk, self.chk_iv,
+                self.is_hard, self.force_row, self.force_and,
+                self.force_or, self._tables, n,
+                self.mask_check_stride, 1 << 30, self.threads)
+            stats.sim_cycles += ran
 
-            # (a) lanes past their observation horizon: masked.
-            done = np.nonzero(t[:n] >= self.end[:n])[0]
-            if done.size:
-                for i in done:
-                    self._finish(int(i), None)
-                self._compact(done.tolist())
-                continue
-
-            # (b) masking / re-convergence checks (pre-step, pre-force:
-            # the scalar snapshot at the same cycle is equally unforced).
-            chk = np.nonzero(t[:n] == self.next_chk[:n])[0]
-            if chk.size:
-                eq = (self.S[:N_REGS, chk] == self._smT[:, t[chk]]).all(axis=0)
-                retire = []
-                for j, idx in enumerate(chk):
-                    i = int(idx)
-                    if not self.is_hard[i]:
-                        if eq[j]:
-                            retire.append(i)  # re-converged: masked
-                        else:
-                            self.next_chk[i] += self.mask_check_stride
-                        continue
-                    if not eq[j]:
-                        self.chk_iv[i] *= 2
-                        self.next_chk[i] = int(t[i]) + self.chk_iv[i]
-                        continue
+            tt = t[:n].tolist()
+            ends = self.end[:n].tolist()
+            chks = self.next_chk[:n].tolist()
+            retire = []
+            diverged = []
+            for i in range(n):
+                tcur = tt[i]
+                if tcur >= ends[i]:
+                    retire.append(i)  # observation window exhausted: masked
+                elif tcur != chks[i]:
+                    diverged.append(i)
+                elif not self.is_hard[i]:
+                    retire.append(i)  # soft lane re-converged: masked
+                else:
                     # Stuck-at lane bit-identical to golden: fast-forward
                     # to the next (observed) activation, as the scalar
-                    # engine does post-step.
+                    # engine does post-step.  A lane that fast-forwards
+                    # or re-arms stays live; the next drive() call
+                    # forces, compares and steps it.
                     fault, _key = self.info[i]
                     value = 1 if fault.kind is FaultKind.STUCK1 else 0
-                    tcur = int(t[i])
                     if self.prune:
                         t_next = golden.first_active_use(
                             fault.flop.reg, fault.flop.bit, value, tcur)
                     else:
                         t_next = golden.activation_cycle(
                             fault.flop.reg, fault.flop.bit, value, tcur)
-                    if t_next is None or t_next >= self.end[i]:
+                    if t_next is None or t_next >= ends[i]:
                         retire.append(i)  # force is a no-op henceforth
                     elif t_next > tcur:
-                        self.S[:N_REGS, i] = self._smT[:, t_next]
+                        self.S[:N_REGS, i] = self._sm32[t_next]
                         golden.memory_words_at(t_next, out=self.M[i])
                         t[i] = t_next
                         self.chk_iv[i] = _CONVERGE_CHECK_START
                         self.next_chk[i] = t_next + _CONVERGE_CHECK_START
                     else:
                         self.next_chk[i] = tcur + self.chk_iv[i]
-                if retire:
-                    for i in retire:
-                        self._finish(i, None)
-                    self._compact(retire)
-                    continue
+            for i in retire:
+                self._finish(i, None)
 
-            # (c) re-assert stuck-at forces (soft lanes force TRASH_ROW).
-            lanes = self._lanes[:n]
-            rows = self.force_row[:n]
-            self.S[rows, lanes] = (
-                (self.S[rows, lanes] & self.force_and[:n]) | self.force_or[:n])
-
-            # (d) port compare at each lane's own cycle.
-            tt = t[:n]
-            gp = self._pmT[:, tt]
-            Sa = self.S[:, :n]
-            P16 = Sa[PORT_ROWS16]
-            evs = (Sa[STATUS] & 1) | (Sa[HALTED] << 1)
-            evb = Sa[BR_TAKEN] | (Sa[BR_VALID] << 1)
-            div = (P16 != gp[:16]).any(axis=0)
-            div |= evs != gp[16]
-            div |= evb != gp[17]
-            det = np.nonzero(div)[0]
-            if det.size:
+            if diverged:
                 # One bulk extraction instead of 18 scalar conversions
-                # per detection — detections arrive hundreds at a time
-                # under the compiled kernel.
-                det_l = det.tolist()
-                ports16 = P16[:, det].T.tolist()
-                ev_l = np.stack((evs[det], evb[det]), axis=1).tolist()
-                t_l = tt[det].tolist()
-                for i, tcur, p16, ev in zip(det_l, t_l, ports16, ev_l):
-                    out = tuple(p16) + tuple(ev)
+                # per detection — detections arrive hundreds at a time.
+                Sd = self.S[:, diverged]
+                ports = np.vstack((
+                    Sd[PORT_ROWS16],
+                    (Sd[STATUS] & 1) | (Sd[HALTED] << 1),
+                    Sd[BR_TAKEN] | (Sd[BR_VALID] << 1))).T.tolist()
+                for i, out in zip(diverged, ports):
+                    out = tuple(out)
+                    tcur = tt[i]
+                    if out == g_ports[tcur]:
+                        raise RuntimeError(
+                            f"drive() returned lane {i} unparked at "
+                            f"cycle {tcur}")
                     fault, _key = self.info[i]
                     record = ErrorRecord(
                         benchmark=name, flop=fault.flop, kind=fault.kind,
@@ -740,26 +628,21 @@ class BatchInjectionEngine:
                         diverged=diverged_ports(out, g_ports[tcur]))
                     stats.sim_cycles += 1  # the scalar step that showed this tuple
                     self._finish(i, record)
-                self._compact(det_l)
-                continue
-
-            # (e) advance every live lane one cycle.
-            self._step(n)
-            stats.sim_cycles += n
-            t[:n] += 1
+                retire.extend(diverged)
+            self._compact(retire)
 
     # -- scalar straggler drain ----------------------------------------------
 
     def _drain_scalar(self) -> None:
         """Finish the last few lanes with per-lane Python stepping.
 
-        The kernel's fixed cost per call (~hundreds of numpy
-        dispatches) amortizes over live lanes; once the pending queue
-        is empty and only a handful of long-window stragglers remain,
-        per-lane ``Cpu.step()`` is cheaper.  The loop below replays the
-        driver's per-lane decision sequence exactly — same check
-        cycles, same pre-step port compare, same fast-forward — so
-        records and stats are bit-identical to staying vectorized.
+        Once the pending queue is empty and only a handful of
+        long-window stragglers remain, per-lane ``Cpu.step()`` is
+        cheaper than another kernel round trip.  The loop below
+        replays the kernel's per-lane decision sequence exactly — same
+        check cycles, same pre-step port compare, same fast-forward —
+        so records and stats are bit-identical to staying in the
+        kernel.
         """
         golden = self.golden
         stats = self.stats
@@ -834,466 +717,3 @@ class BatchInjectionEngine:
             self._finish(i, record)
             self.info[i] = None
         self._n = 0
-
-    # -- the vectorized Cpu.step() kernel ------------------------------------
-
-    def _step(self, n: int) -> None:
-        """Advance lanes ``0..n-1`` one cycle (vectorized ``Cpu.step``).
-
-        Stage order, masking and within-cycle read/write ordering
-        mirror ``Cpu.step()`` statement by statement; see that method
-        for the semantics.  All row accesses below are basic-index
-        views into ``S`` so writes land in place; lane extractions use
-        ``nonzero`` index vectors (always duplicate-free, so fancy
-        read-modify-writes are safe).
-        """
-        S = self.S[:, :n]
-        M = self.M[:n]
-        lanes = self._lanes[:n]
-        mem_words = M.shape[1]
-
-        # ---------------- MW stage ----------------
-        lsu_valid = S[LSU_VALID] != 0
-        sb_valid = S[SB_VALID] != 0
-        mw_valid = S[MW_VALID] != 0
-        lsu_op = S[LSU_OP]
-        lsu_addr = S[LSU_ADDR].copy()
-        # Old store-buffer contents: refills below overwrite the rows.
-        sb_addr = S[SB_ADDR].copy()
-        sb_data = S[SB_DATA].copy()
-        sb_op = S[SB_OP].copy()
-
-        is_ld = lsu_valid & (lsu_op == 1)
-        is_ldb = lsu_valid & (lsu_op == 2)
-        is_load = is_ld | is_ldb
-        is_st = lsu_valid & (lsu_op == 3)
-        is_stb = lsu_valid & (lsu_op == 4)
-        is_store = is_st | is_stb
-        is_in = lsu_valid & (lsu_op == 5)
-        is_out = lsu_valid & (lsu_op == 6)
-
-        alias = ((sb_addr ^ lsu_addr) & 0xFFFFFFFC) == 0
-        drain_load = is_load & sb_valid & alias
-        drain = drain_load | (is_store & sb_valid) | (sb_valid & ~lsu_valid)
-
-        # Commit drained stores to the lane memories.
-        dw = np.nonzero(drain)[0]
-        if dw.size:
-            widx = ((sb_addr[dw] >> 2) % mem_words).astype(np.intp)
-            byte = sb_op[dw] != 0
-            ww = dw[~byte]
-            if ww.size:
-                M[ww, widx[~byte]] = sb_data[ww]
-            bw = dw[byte]
-            if bw.size:
-                shift = (sb_addr[bw] & 3) * 8
-                bidx = widx[byte]
-                old = M[bw, bidx]
-                lane_mask = 0xFF << shift
-                M[bw, bidx] = (old & ~lane_mask) | ((sb_data[bw] & 0xFF) << shift)
-
-        # Loads observe the just-drained memory, as in the scalar core.
-        load_data = np.zeros(n, dtype=_U32)
-        lw = np.nonzero(is_load)[0]
-        if lw.size:
-            ridx = ((lsu_addr[lw] >> 2) % mem_words).astype(np.intp)
-            words = M[lw, ridx]
-            shift = (lsu_addr[lw] & 3) * 8
-            load_data[lw] = np.where(
-                is_ldb[lw], (words >> shift) & 0xFF, words)
-
-        # IN: replicated stimulus sample + cursor advance.
-        iw = np.nonzero(is_in)[0]
-        if iw.size:
-            cursor = S[IO_IN_IDX, iw]
-            vals = self._stim[(cursor % self._stim_len).astype(np.intp)]
-            load_data[iw] = vals
-            S[IO_IN, iw] = vals
-            S[IO_IN_IDX, iw] = (cursor + 1) & 0xFFFF
-
-        # OUT: port write with toggling strobe.
-        ow = np.nonzero(is_out)[0]
-        if ow.size:
-            S[IO_OUT, ow] = S[LSU_WDATA, ow]
-            S[IO_OUT_V, ow] ^= _U32(1)
-
-        # Store-buffer next state: clear on pure drain / drained-load,
-        # then refill from a new store (refill wins, as in the scalar).
-        S[SB_VALID][drain_load | (sb_valid & ~lsu_valid)] = 0
-        st = np.nonzero(is_store)[0]
-        if st.size:
-            S[SB_ADDR, st] = lsu_addr[st]
-            S[SB_DATA, st] = S[LSU_WDATA, st]
-            S[SB_OP, st] = is_stb[st]
-            S[SB_VALID, st] = 1
-
-        # DMC interface registers.
-        d_read = is_load
-        d_write = drain
-        d_any = d_read | d_write
-        prim_addr = np.where(d_read, lsu_addr, sb_addr)
-        prim_byte = np.where(d_read, is_ldb, sb_op != 0)
-        S[DMC_ADDR][d_any] = prim_addr[d_any]
-        S[DMC_WDATA][d_write] = sb_data[d_write]
-        S[DMC_RDATA][d_read] = load_data[d_read]
-        S[DMC_CTRL][:] = np.where(
-            d_any,
-            d_read.astype(_U32) | (d_write.astype(_U32) << 1) | 8,
-            0)
-        strb = np.where(
-            prim_byte, BIT4[(prim_addr & 3).astype(np.intp)], 0xF)
-        S[DMC_STRB][:] = np.where(d_any, strb, 0)
-
-        # Writeback and retire/trace port.  The register file is written
-        # before DX reads it, which subsumes the scalar bypass network.
-        wb_value = np.where(S[MW_ISLOAD] != 0, load_data, S[MW_VAL])
-        wen = mw_valid & (S[MW_WEN] != 0)
-        wl = np.nonzero(wen)[0]
-        if wl.size:
-            rd_rows = RF_WRITE_ROW[S[MW_RD, wl].astype(np.intp)]
-            S[rd_rows, wl] = wb_value[wl]
-        rv = np.nonzero(mw_valid)[0]
-        if rv.size:
-            S[RET_PC, rv] = S[MW_PC, rv]
-            S[RET_VAL, rv] = wb_value[rv]
-            S[RET_RD, rv] = S[MW_RD, rv]
-        S[RET_VALID][:] = mw_valid
-
-        # ---------------- DX stage ----------------
-        if_valid = S[IF_VALID] != 0
-        if_pc = S[IF_PC].copy()          # IF2 overwrites these rows below
-        word = S[IF_IR].copy()
-        opnum = ((word >> 26) & 0x3F).astype(np.intp)
-        cls = OPC_CLS[opnum]
-        seq_next = if_pc + _U32(4)  # 32-bit wrap == & _M32
-        fetched_next = np.where(S[IF_PRED] != 0, S[IF_PTGT], seq_next)
-
-        # Exceptions: IRQ > BKPT > ILLEGAL (BKPT only when a breakpoint
-        # is armed *and* matches; ILLEGAL is still checked otherwise).
-        irq = ((S[IRQ_PENDING] & S[IRQ_MASK]) != 0) & ((S[STATUS] & 1) == 0)
-        ctrl = S[DBG_CTRL]
-        bk = (~irq & ((ctrl & 3) != 0)
-              & ((((ctrl & 1) != 0) & (if_pc == S[DBG_BKPT0]))
-                 | (((ctrl & 2) != 0) & (if_pc == S[DBG_BKPT1]))))
-        ill = ~irq & ~bk & ~OPC_VALID[opnum]
-        trap = (irq | bk | ill) & if_valid
-        trap_code = np.zeros(n, dtype=_U32)
-        trap_code[ill] = isa.CAUSE_ILLEGAL
-        trap_code[bk] = isa.CAUSE_BKPT
-        trap_code[irq] = isa.CAUSE_IRQ
-        dispatch = if_valid & ~trap
-
-        # Operand gathers (field 0 reads the hardwired-zero row).
-        ra_f = ((word >> 18) & 0xF).astype(np.intp)
-        rb_f = ((word >> 14) & 0xF).astype(np.intp)
-        rd_f = (word >> 22) & 0xF
-        ra_val = S[RF_READ_ROW[ra_f], lanes]
-        rb_val = S[RF_READ_ROW[rb_f], lanes]
-        imm32 = np.where(
-            (word & 0x2000) != 0,
-            (word & 0x1FFF) | 0xFFFFE000,
-            word & 0x1FFF)
-
-        # Next-latch accumulators (scalar locals n_mw_* / n_lsu_* / ...).
-        n_mw_valid = np.zeros(n, dtype=_U32)
-        n_mw_wen = np.zeros(n, dtype=_U32)
-        n_mw_isload = np.zeros(n, dtype=_U32)
-        n_mw_rd = np.zeros(n, dtype=_U32)
-        n_mw_val = np.zeros(n, dtype=_U32)
-        n_lsu_valid = np.zeros(n, dtype=_U32)
-        n_lsu_op = np.zeros(n, dtype=_U32)
-        n_br_valid = np.zeros(n, dtype=_U32)
-        stall = np.zeros(n, dtype=bool)
-        actual_next = seq_next.copy()
-
-        # --- single-cycle ALU ---
-        alu = dispatch & (cls == _CLS_ALU)
-        sel = ALU_SEL[opnum]
-        a32 = ra_val
-        b32 = np.where(OPC_IMM[opnum], imm32, rb_val)
-        add_res = a32 + b32        # 32-bit wrap == & _M32
-        sub_res = a32 - b32
-        sh_u = b32 & 31
-        a_s = _sign32(a32)
-        b_s = _sign32(b32)
-        res_stack = np.stack([
-            np.zeros(n, dtype=_U32),
-            add_res,
-            sub_res,
-            a32 & b32,
-            a32 | b32,
-            a32 ^ b32,
-            a32 << sh_u,
-            a32 >> sh_u,
-            (a_s >> sh_u.astype(np.int32)).astype(_U32),
-            (a_s < b_s).astype(_U32),
-            (a32 < b32).astype(_U32),
-        ])
-        res = res_stack[sel, lanes]
-        zero_u = np.zeros(n, dtype=_U32)
-        carry = np.where(
-            sel == 1, (add_res < a32).astype(_U32),  # unsigned carry-out
-            np.where(sel == 2, (a32 >= b32).astype(_U32), zero_u))
-        ovf = np.where(
-            sel == 1,
-            ((~(a32 ^ b32) & (a32 ^ add_res)) >> 31) & 1,
-            np.where(
-                sel == 2,
-                (((a32 ^ b32) & (a32 ^ sub_res)) >> 31) & 1,
-                zero_u))
-        nf = (res >> 31) & 1
-        zf = (res == 0).astype(_U32)
-        flags_alu = (nf << 3) | (zf << 2) | (carry << 1) | ovf
-        S[FLAGS][alu] = flags_alu[alu]
-        n_mw_valid[alu] = 1
-        n_mw_wen[alu] = 1
-        n_mw_rd[alu] = rd_f[alu]
-        n_mw_val[alu] = res[alu]
-
-        # --- two-cycle multiplier ---
-        mul = dispatch & (cls == _CLS_MUL)
-        if mul.any():
-            pend = S[MUL_PENDING] != 0
-            m1 = mul & ~pend
-            S[MUL_A][m1] = ra_val[m1]
-            S[MUL_B][m1] = rb_val[m1]
-            S[MUL_PENDING][m1] = 1
-            stall |= m1
-            m2 = mul & pend
-            if m2.any():
-                # The 64-bit product needs a wider lane: extract.
-                mi = np.nonzero(m2)[0]
-                prod = (S[MUL_A, mi].astype(_U64)
-                        * S[MUL_B, mi].astype(_U64))
-                mres = np.where(
-                    opnum[mi] == int(isa.Op.MUL),
-                    prod & _M32, prod >> 32).astype(_U32)
-                mn = (mres >> 31) & 1
-                mz = (mres == 0).astype(_U32)
-                S[FLAGS, mi] = (mn << 3) | (mz << 2)
-                S[MUL_PENDING, mi] = 0
-                n_mw_valid[mi] = 1
-                n_mw_wen[mi] = 1
-                n_mw_rd[mi] = rd_f[mi]
-                n_mw_val[mi] = mres
-
-        # --- LUI ---
-        lui = dispatch & (cls == _CLS_LUI)
-        n_mw_valid[lui] = 1
-        n_mw_wen[lui] = 1
-        n_mw_rd[lui] = rd_f[lui]
-        n_mw_val[lui] = ((word & 0xFFFF) << 16)[lui]
-
-        # --- memory ops (with MISALIGNED > WATCH > MPU fault checks) ---
-        memc = dispatch & (cls == _CLS_MEM)
-        addr = ra_val + imm32      # 32-bit wrap
-        cnten = (S[STATUS] & isa.STATUS_CNT_EN) != 0
-        if memc.any():
-            word_op = (opnum == int(isa.Op.LD)) | (opnum == int(isa.Op.ST))
-            misal = memc & word_op & ((addr & 3) != 0)
-            watch = (memc & ~misal & ((ctrl & 4) != 0)
-                     & (addr == S[DBG_WATCH0]))
-            mpu_hit = np.zeros(n, dtype=bool)
-            mc = S[MPU_CTRL]
-            if (mc != 0).any():
-                for r in range(4):
-                    en = ((mc >> (2 * r)) & 3) == 3
-                    mpu_hit |= (en & (S[MPU_BASE0 + r] <= addr)
-                                & (addr < S[MPU_LIMIT0 + r]))
-            mpu = memc & ~misal & ~watch & mpu_hit
-            trap_code[mpu] = isa.CAUSE_MPU
-            trap_code[watch] = isa.CAUSE_WATCH
-            trap_code[misal] = isa.CAUSE_MISALIGNED
-            trap |= misal | watch | mpu
-            mem_ok = memc & ~misal & ~watch & ~mpu
-            cm = mem_ok & cnten
-            S[CNT_MEM][cm] = S[CNT_MEM][cm] + _U32(1)
-            n_lsu_valid[mem_ok] = 1
-            n_lsu_op[mem_ok] = LSU_OP_OF[opnum[mem_ok]]
-            S[LSU_ADDR][mem_ok] = addr[mem_ok]
-            st_l = mem_ok & ((opnum == int(isa.Op.ST)) | (opnum == int(isa.Op.STB)))
-            S[LSU_WDATA][st_l] = rb_val[st_l]
-            ld_l = mem_ok & ((opnum == int(isa.Op.LD)) | (opnum == int(isa.Op.LDB)))
-            n_mw_valid[mem_ok] = 1
-            n_mw_wen[ld_l] = 1
-            n_mw_isload[ld_l] = 1
-            n_mw_rd[mem_ok] = rd_f[mem_ok]
-            n_mw_val[mem_ok] = addr[mem_ok]
-
-        # --- conditional branches ---
-        br = dispatch & (cls == _CLS_BRANCH)
-        bidx = ((if_pc >> 2) & 3).astype(np.intp)
-        if br.any():
-            cb = br & cnten
-            S[CNT_BRANCH][cb] = S[CNT_BRANCH][cb] + _U32(1)
-            ras = _sign32(ra_val)
-            rbs = _sign32(rb_val)
-            tk_stack = np.stack([
-                ra_val == rb_val, ra_val != rb_val,
-                ras < rbs, ras >= rbs,
-                ra_val < rb_val, ra_val >= rb_val,
-            ])
-            bsel = np.clip(opnum - int(isa.Op.BEQ), 0, 5)
-            taken = tk_stack[bsel, lanes]
-            target = seq_next + (imm32 << 2)  # 32-bit wrap
-            tk = br & taken
-            S[BR_TARGET][br] = target[br]
-            S[BR_TAKEN][br] = tk[br]
-            n_br_valid[br] = 1
-            actual_next[tk] = target[tk]
-            tki = np.nonzero(tk)[0]
-            if tki.size:
-                S[BTB_TAG0 + bidx[tki], tki] = if_pc[tki]
-                S[BTB_TGT0 + bidx[tki], tki] = target[tki]
-                S[BTB_V, tki] |= BIT4[bidx[tki]]
-            nt = br & ~taken & (S[IF_PRED] != 0)
-            nti = np.nonzero(nt)[0]
-            if nti.size:
-                tag_hit = S[BTB_TAG0 + bidx[nti], nti] == if_pc[nti]
-                ci = nti[tag_hit]
-                if ci.size:
-                    S[BTB_V, ci] &= NOT4[bidx[ci]]
-            n_mw_valid[br] = 1
-
-        # --- JAL / JALR ---
-        jal = dispatch & (cls == _CLS_JAL)
-        jalr = dispatch & (cls == _CLS_JALR)
-        j = jal | jalr
-        if j.any():
-            off32 = np.where(
-                (word & 0x20000) != 0,
-                (word & 0x1FFFF) | 0xFFFE0000,
-                word & 0x3FFFF)
-            jal_tgt = seq_next + (off32 << 2)  # 32-bit wrap
-            jalr_tgt = (ra_val + imm32) & 0xFFFFFFFC
-            jt = np.where(jal, jal_tgt, jalr_tgt)
-            actual_next[j] = jt[j]
-            S[BR_TARGET][j] = jt[j]
-            S[BR_TAKEN][j] = 1
-            n_br_valid[j] = 1
-            ji = np.nonzero(j)[0]
-            S[BTB_TAG0 + bidx[ji], ji] = if_pc[ji]
-            S[BTB_TGT0 + bidx[ji], ji] = jt[ji]
-            S[BTB_V, ji] |= BIT4[bidx[ji]]
-            n_mw_valid[j] = 1
-            n_mw_wen[j] = 1
-            n_mw_rd[j] = rd_f[j]
-            n_mw_val[j] = seq_next[j]
-
-        # --- IN / OUT ---
-        inn = dispatch & (cls == _CLS_IN)
-        n_lsu_valid[inn] = 1
-        n_lsu_op[inn] = 5
-        S[LSU_ADDR][inn] = imm32[inn]
-        n_mw_valid[inn] = 1
-        n_mw_wen[inn] = 1
-        n_mw_isload[inn] = 1
-        n_mw_rd[inn] = rd_f[inn]
-        outc = dispatch & (cls == _CLS_OUT)
-        n_lsu_valid[outc] = 1
-        n_lsu_op[outc] = 6
-        S[LSU_ADDR][outc] = imm32[outc]
-        S[LSU_WDATA][outc] = rb_val[outc]
-        n_mw_valid[outc] = 1
-
-        # --- CSRR / CSRW (unmapped numbers read zero / write the sink) ---
-        csr_idx = (word & 0x3FFF).astype(np.intp)
-        cr = np.nonzero(dispatch & (cls == _CLS_CSRR))[0]
-        if cr.size:
-            n_mw_valid[cr] = 1
-            n_mw_wen[cr] = 1
-            n_mw_rd[cr] = rd_f[cr]
-            n_mw_val[cr] = S[CSR_READ_ROW[csr_idx[cr]], cr]
-        cw = np.nonzero(dispatch & (cls == _CLS_CSRW))[0]
-        if cw.size:
-            S[CSR_WRITE_ROW[csr_idx[cw]], cw] = (
-                rb_val[cw] & CSR_WRITE_MASK[csr_idx[cw]])
-            n_mw_valid[cw] = 1
-
-        # --- NOP / HALT ---
-        n_mw_valid[dispatch & (cls == _CLS_NOP)] = 1
-        halt_now = dispatch & (cls == _CLS_HALT)
-
-        # --- trap effects ---
-        ti = np.nonzero(trap)[0]
-        if ti.size:
-            S[CAUSE, ti] = trap_code[ti]
-            S[EPC, ti] = if_pc[ti]
-            S[STATUS, ti] |= _U32(1)
-            S[SFLAGS, ti] = S[FLAGS, ti]
-
-        # --- redirect decision ---
-        mispred = (dispatch & ~trap & ~stall & ~halt_now
-                   & (actual_next != fetched_next))
-        redirect = trap | mispred
-        redirect_tgt = np.where(trap, isa.EXC_VECTOR, actual_next)
-
-        # --- DX -> MW latches ---
-        n_mw_pc = np.where(if_valid, if_pc, S[MW_PC])
-        ns = ~stall
-        S[MW_VALID][:] = np.where(stall, 0, n_mw_valid)
-        S[MW_WEN][ns] = n_mw_wen[ns]
-        S[MW_ISLOAD][ns] = n_mw_isload[ns]
-        S[MW_RD][ns] = n_mw_rd[ns]
-        S[MW_VAL][ns] = n_mw_val[ns]
-        S[MW_PC][ns] = n_mw_pc[ns]
-        S[LSU_VALID][:] = np.where(stall, 0, n_lsu_valid)
-        S[LSU_OP][:] = np.where(stall, 0, n_lsu_op)
-        S[BR_VALID][:] = n_br_valid
-
-        # ---------------- IF stages ----------------
-        S[HALTED][halt_now] = 1
-        S[IF_VALID][halt_now] = 0
-        S[IMC_VALID][halt_now] = 0
-        S[IMC_PRED][halt_now] = 0
-        rd_l = redirect & ~halt_now
-        S[PC][rd_l] = redirect_tgt[rd_l]
-        S[IF_VALID][rd_l] = 0
-        S[IF_PRED][rd_l] = 0
-        S[IMC_VALID][rd_l] = 0
-        S[IMC_PRED][rd_l] = 0
-
-        fm = ~halt_now & ~redirect & ~stall
-        fi = np.nonzero(fm)[0]
-        fetch_addr = np.zeros(n, dtype=_U32)
-        fetch_word = np.zeros(n, dtype=_U32)
-        if fi.size:
-            pc_old = S[PC, fi].copy()
-            # IF2: prefetch buffer -> decode latch.
-            S[IF_IR, fi] = S[IMC_DATA, fi]
-            S[IF_PC, fi] = S[IMC_ADDR, fi]
-            S[IF_VALID, fi] = S[IMC_VALID, fi]
-            S[IF_PRED, fi] = S[IMC_PRED, fi]
-            S[IF_PTGT, fi] = S[IMC_PTGT, fi]
-            # IF1: fetch at pc with BTB next-fetch prediction.
-            fw = M[fi, ((pc_old >> 2) % mem_words).astype(np.intp)]
-            S[IMC_ADDR, fi] = pc_old
-            S[IMC_DATA, fi] = fw
-            S[IMC_VALID, fi] = 1
-            fbidx = ((pc_old >> 2) & 3).astype(np.intp)
-            pred = (((S[BTB_V, fi] & BIT4[fbidx]) != 0)
-                    & (S[BTB_TAG0 + fbidx, fi] == pc_old))
-            pi = fi[pred]
-            if pi.size:
-                tgt = S[BTB_TGT0 + fbidx[pred], pi]
-                S[PC, pi] = tgt
-                S[IMC_PRED, pi] = 1
-                S[IMC_PTGT, pi] = tgt
-            npi = fi[~pred]
-            if npi.size:
-                S[PC, npi] = pc_old[~pred] + _U32(4)
-                S[IMC_PRED, npi] = 0
-            fetch_addr[fi] = pc_old
-            fetch_word[fi] = fw
-
-        # ---------------- BIU external bus view ----------------
-        bus_f = fm & ~d_any
-        S[BUS_ADDR][d_any] = prim_addr[d_any]
-        S[BUS_DATA][d_any] = np.where(d_read, load_data, sb_data)[d_any]
-        S[BUS_ADDR][bus_f] = fetch_addr[bus_f]
-        S[BUS_DATA][bus_f] = fetch_word[bus_f]
-        S[BUS_CTRL][:] = np.where(
-            d_any, np.where(d_write, 3, 2),
-            np.where(bus_f, 1, 0))
-
-        S[CYC][:] = S[CYC] + _U32(1)

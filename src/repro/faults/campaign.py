@@ -221,14 +221,17 @@ def run_campaign(config: CampaignConfig | None = None,
         chunk_flops: flops per shard (default: auto, ~4 shards per
             worker per benchmark).  Affects only scheduling granularity,
             never results.
-        batch: lane count for the vectorised injection engine
+        batch: lane count for the batch injection engine
             (:mod:`repro.faults.batch`); ``None``/``0`` runs the scalar
-            engine.  Like ``workers``, an execution knob only — records
-            and pruning stats are bit-identical for any value.
-        kernel: step backend for the vectorised engine — ``"cext"``,
-            ``"numpy"`` or ``"auto"``/``None`` (compiled when
-            available; see :mod:`repro.faults.kernels`).  Also purely
-            an execution knob.
+            engine, as does any batch when the compiled kernel is
+            unavailable under ``kernel="auto"``.  Like ``workers``, an
+            execution knob only — records and pruning stats are
+            bit-identical for any value.
+        kernel: batch kernel request — ``"cext"`` (error if the
+            compiled kernel is unavailable) or ``"auto"``/``None``
+            (compiled when available, else the scalar engine; see
+            :mod:`repro.faults.kernels`).  Also purely an execution
+            knob.
         executor: shard fan-out backend — ``"process"`` (default) or
             ``"thread"`` (in-process workers sharing one golden cache;
             effective with the GIL-releasing compiled kernel).  Also
@@ -281,9 +284,9 @@ def cached_campaign(config: CampaignConfig | None = None,
     All benchmark-harness figures share one campaign run through this
     cache, keyed by the configuration hash.  The key is independent of
     ``workers``, ``batch``, ``kernel``, ``executor`` and ``threads`` —
-    a result computed with any worker count, engine (scalar /
-    vectorised), step backend, shard executor or thread count is
-    identical, so it is shared by all of them.
+    a result computed with any worker count, engine (scalar / batch),
+    kernel, shard executor or thread count is identical, so it is
+    shared by all of them.
     """
     config = config or CampaignConfig.default()
     path = Path(cache_dir) / f"campaign_{config.cache_key()}.pkl"

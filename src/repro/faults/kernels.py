@@ -1,54 +1,38 @@
-"""Kernel backend registry for the batch fault-injection engine.
+"""Kernel selection for the batch fault-injection engine.
 
 The :class:`~repro.faults.batch.BatchInjectionEngine` steps its
-structure-of-arrays lane state with one of two interchangeable
-kernels:
+structure-of-arrays lane state with one kernel, the compiled fused
+``drive()`` loop in ``_cstep`` (one C call runs force / golden compare
+/ step for *many* cycles, returning to Python only on rare-path
+events, see DESIGN §5.15).  Kernel requests are:
 
-* ``"numpy"`` — the vectorized python kernel in ``batch.py`` (~150
-  numpy dispatches per cycle; dispatch-bound below a few hundred
-  lanes, see DESIGN §5.14);
-* ``"cext"`` — the compiled fused kernel in ``_cstep`` (one C call
-  runs force / golden compare / step for *many* cycles, returning to
-  Python only on rare-path events, see DESIGN §5.15);
-* ``"auto"`` (default) — ``cext`` when the extension is importable or
-  buildable, silently ``numpy`` otherwise.
+* ``"cext"`` — the compiled kernel, or a ``RuntimeError`` carrying the
+  build failure when it cannot load;
+* ``"auto"`` (default) — ``"cext"`` when the extension is importable
+  or buildable, ``None`` otherwise.  ``None`` means "no batch kernel":
+  campaigns then run the scalar
+  :class:`~repro.faults.injector.InjectionEngine`, which
+  :func:`repro.faults.parallel.run_shard` picks in that case.
 
-Both kernels are digest-identical by construction and by test
-(tests/test_kernels.py holds them equal per cycle, matrix-for-matrix),
-so choosing a backend is purely a speed decision and the choice never
-enters campaign cache keys.  The ``REPRO_KERNEL`` environment variable
-overrides the default for processes that take no explicit argument
-(e.g. campaign pool workers inherit it).
+Every engine is digest-identical by construction and by test
+(tests/test_kernels.py holds the C step equal to ``Cpu.step`` per
+cycle, state-for-state), so the choice is purely a speed decision and
+never enters campaign cache keys.
 """
 
 from __future__ import annotations
 
 import os
 
-KERNEL_CHOICES = ("auto", "cext", "numpy")
-KERNEL_ENV = "REPRO_KERNEL"
+KERNEL_CHOICES = ("auto", "cext")
 THREADS_ENV = "REPRO_CSTEP_THREADS"
 
-#: Lane count below which the *scalar* engine beats the batch kernel,
-#: per backend.  The numpy kernel pays ~150 python dispatches per cycle
-#: regardless of width, so narrow tails (campaign remainders, final
-#: partial batches) are cheaper to drain scalar up to ~192 lanes
-#: (measured, DESIGN §5.14).  The compiled kernel's per-call overhead
-#: is a single C call, so its breakeven is essentially the cost of
-#: re-packing lane state — a handful of lanes.  `BatchInjectionEngine`
-#: reads this instead of hard-coding the numpy constant, which used to
-#: throw away the cext kernel's advantage on every tail.
-KERNEL_BREAKEVEN_LANES = {"numpy": 192, "cext": 8}
-
-
-def breakeven_lanes(kernel: str) -> int:
-    """Scalar-drain breakeven for a concrete backend name."""
-    try:
-        return KERNEL_BREAKEVEN_LANES[kernel]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel {kernel!r} "
-            f"(choose from {tuple(KERNEL_BREAKEVEN_LANES)})") from None
+#: At or below this many live lanes the batch engine finishes lanes
+#: with per-lane ``Cpu.step()`` instead of another kernel call (the
+#: straggler tail, or the whole run for batches this narrow): the
+#: kernel's fixed cost is one C call plus re-packing lane state, so
+#: the breakeven is a handful of lanes.
+TAIL_LANES = 8
 
 
 def resolve_threads(threads: int | None = None,
@@ -90,22 +74,22 @@ def cext_build_error() -> str | None:
     return _cstep.BUILD_ERROR
 
 
-def resolve_kernel(name: str | None = None) -> str:
-    """Resolve a kernel request to a concrete backend name.
+def resolve_kernel(name: str | None = None) -> str | None:
+    """Resolve a kernel request to ``"cext"`` or ``None`` (scalar engine).
 
-    ``None`` falls back to ``$REPRO_KERNEL``, then ``"auto"``.
-    Requesting ``"cext"`` explicitly when the extension cannot load is
-    an error (with the build failure attached) rather than a silent
-    downgrade; ``"auto"`` downgrades silently.
+    ``None`` means ``"auto"``.  Requesting ``"cext"`` explicitly when
+    the extension cannot load is an error (with the build failure
+    attached) rather than a silent downgrade; ``"auto"`` downgrades
+    silently to ``None``.
     """
-    requested = name or os.environ.get(KERNEL_ENV) or "auto"
+    requested = name or "auto"
     if requested not in KERNEL_CHOICES:
         raise ValueError(
             f"unknown kernel {requested!r} (choose from {KERNEL_CHOICES})")
-    if requested == "auto":
-        return "cext" if cext_available() else "numpy"
-    if requested == "cext" and not cext_available():
+    if cext_available():
+        return "cext"
+    if requested == "cext":
         raise RuntimeError(
             "kernel 'cext' requested but the compiled extension is "
             f"unavailable: {cext_build_error() or 'import failed'}")
-    return requested
+    return None

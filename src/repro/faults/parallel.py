@@ -51,6 +51,7 @@ from ..workloads.kernels import KERNELS
 from .arch import TieredGolden
 from .golden import GoldenTrace
 from .injector import InjectionEngine
+from .kernels import resolve_kernel
 from .models import ErrorRecord
 
 #: spawn_key stream tags (first element of every derived key); minted
@@ -185,6 +186,28 @@ def _tiered_for(benchmark: str, seed: int) -> TieredGolden:
     return tiered
 
 
+def _schedule_shard(config, shard: Shard, n_cycles: int) -> tuple[
+        list, dict[tuple[str, str], int]]:
+    """The shard's faults in campaign order, plus per-(unit, kind) counts.
+
+    ``schedule_faults`` and ``schedule_rng`` are looked up at call time
+    (module attributes), so instrumentation that wraps them sees every
+    call.
+    """
+    from .campaign import schedule_faults
+
+    faults = []
+    injected: dict[tuple[str, str], int] = {}
+    for offset, flop in enumerate(shard.flops):
+        rng = schedule_rng(config.seed, shard.bench_idx,
+                           shard.flop_base + offset)
+        for fault in schedule_faults(flop, n_cycles, config, rng):
+            key = (flop.unit, fault.kind.value)
+            injected[key] = injected.get(key, 0) + 1
+            faults.append(fault)
+    return faults, injected
+
+
 def run_shard(config, shard: Shard, batch: int | None = None,
               kernel: str | None = None,
               threads: int | None = None) -> tuple[
@@ -198,60 +221,41 @@ def run_shard(config, shard: Shard, batch: int | None = None,
     performance matter) — outcomes, and therefore the merged record
     list, are identical for any sharding.
 
-    ``batch`` selects the vectorised engine with that many lanes (see
-    :mod:`repro.faults.batch`); None/0 runs the scalar engine.
-    ``kernel`` picks the batch engine's step backend (see
-    :mod:`repro.faults.kernels`); records and pruning stats are
-    bit-identical for any engine/kernel.  ``threads`` sets the
-    compiled kernel's drive-loop thread count (wall-clock only, same
-    contract).  The batch path goes through
-    :class:`~repro.faults.arch.TieredGolden`: scheduling uses the
-    cheap ``n_cycles`` peek and the flop-accurate trace is loaded —
-    architecturally cross-checked — only when the shard has faults to
-    simulate.
+    ``batch`` selects the batch engine with that many lanes (see
+    :mod:`repro.faults.batch`) when ``kernel`` resolves to the
+    compiled kernel (see :func:`repro.faults.kernels.resolve_kernel`);
+    None/0, or ``"auto"``/None without the extension, runs the scalar
+    engine.  Records and pruning stats are bit-identical for either
+    engine.  ``threads`` sets the compiled kernel's drive-loop thread
+    count (wall-clock only, same contract).  The batch path goes
+    through :class:`~repro.faults.arch.TieredGolden`: scheduling uses
+    the cheap ``n_cycles`` peek and the flop-accurate trace is loaded
+    — architecturally cross-checked — only when the shard has faults
+    to simulate.
     """
-    from .campaign import schedule_faults
-
-    if batch:
+    if batch and resolve_kernel(kernel):
         from .batch import BatchInjectionEngine
 
         tiered = _tiered_for(shard.benchmark, config.seed)
         n_cycles = tiered.n_cycles
-        faults = []
-        injected: dict[tuple[str, str], int] = {}
-        for offset, flop in enumerate(shard.flops):
-            rng = schedule_rng(config.seed, shard.bench_idx,
-                               shard.flop_base + offset)
-            for fault in schedule_faults(flop, n_cycles, config, rng):
-                key = (flop.unit, fault.kind.value)
-                injected[key] = injected.get(key, 0) + 1
-                faults.append(fault)
+        faults, injected = _schedule_shard(config, shard, n_cycles)
         if not faults:
             return [], injected, n_cycles, {}
         engine = BatchInjectionEngine(
             tiered.full, max_observe=config.max_observe,
             mask_check_stride=config.mask_check_stride,
-            prune=config.prune, batch=batch, kernel=kernel,
-            threads=threads)
+            prune=config.prune, batch=batch, threads=threads)
         outcomes = engine.inject_all(faults)
-        records = [r for r in outcomes if r is not None]
-        return records, injected, n_cycles, engine.stats.as_dict()
-
-    golden = _golden_for(shard.benchmark, config.seed)
-    engine = InjectionEngine(golden, max_observe=config.max_observe,
-                             mask_check_stride=config.mask_check_stride,
-                             prune=config.prune)
-    records: list[ErrorRecord] = []
-    injected = {}
-    for offset, flop in enumerate(shard.flops):
-        rng = schedule_rng(config.seed, shard.bench_idx, shard.flop_base + offset)
-        for fault in schedule_faults(flop, golden.n_cycles, config, rng):
-            key = (flop.unit, fault.kind.value)
-            injected[key] = injected.get(key, 0) + 1
-            record = engine.inject(fault)
-            if record is not None:
-                records.append(record)
-    return records, injected, golden.n_cycles, engine.stats.as_dict()
+    else:
+        golden = _golden_for(shard.benchmark, config.seed)
+        n_cycles = golden.n_cycles
+        faults, injected = _schedule_shard(config, shard, n_cycles)
+        engine = InjectionEngine(golden, max_observe=config.max_observe,
+                                 mask_check_stride=config.mask_check_stride,
+                                 prune=config.prune)
+        outcomes = [engine.inject(fault) for fault in faults]
+    records = [r for r in outcomes if r is not None]
+    return records, injected, n_cycles, engine.stats.as_dict()
 
 
 # -- controller side ---------------------------------------------------------
@@ -268,15 +272,15 @@ def execute_campaign(config, progress: bool = False, workers: int | None = 1,
     that wrapper for the public contract.  ``batch``, ``kernel``,
     ``executor`` and ``threads`` (like ``workers`` and
     ``chunk_flops``) are execution knobs, not part of the
-    configuration: they select the vectorised engine, its step
-    backend, the shard fan-out (``process`` pool vs in-process
+    configuration: they select the batch engine and its kernel (the
+    scalar engine when no compiled kernel is available), the shard
+    fan-out (``process`` pool vs in-process
     ``thread`` pool — the latter shares one golden cache and relies on
     the compiled kernel releasing the GIL) and the drive-loop thread
     count, without entering the cache key, because results are
     bit-identical for any value.
     """
     from .campaign import CampaignResult, sample_flops
-    from .kernels import resolve_kernel
 
     workers = resolve_workers(workers)
     executor = resolve_executor(executor)
@@ -286,10 +290,11 @@ def execute_campaign(config, progress: bool = False, workers: int | None = 1,
         sampled[flop.unit] = sampled.get(flop.unit, 0) + 1
 
     if batch is not None and chunk_flops is None:
-        # The vectorised engine amortizes its per-call dispatch cost
-        # over lane occupancy, so it wants the deepest fault pool it
-        # can get: one shard per worker instead of the scalar default
-        # of four (which trades pool depth for load balancing).
+        # The batch engine amortizes its per-call cost over lane
+        # occupancy, so it wants the deepest fault pool it can get: one
+        # shard per worker instead of the scalar default of four (which
+        # trades pool depth for load balancing).  The scalar fallback
+        # keeps the same shards, so its pruning stats match too.
         chunk_flops = max(1, -(-len(flops) // workers))
     chunk = resolve_chunk(len(flops), workers, chunk_flops)
     shards = plan_shards(config.benchmarks, flops, workers, chunk)
@@ -308,7 +313,8 @@ def execute_campaign(config, progress: bool = False, workers: int | None = 1,
 
     # Resolve the kernel once on the controller: an explicit "cext"
     # request fails fast here (with the build error) instead of inside
-    # N pool workers, and the resolved name lands in result meta.
+    # N pool workers, and the resolved name ("cext", or None for the
+    # scalar engine) lands in result meta.
     resolved_kernel = resolve_kernel(kernel) if batch else None
 
     if workers == 1 or len(shards) == 1:

@@ -1,9 +1,11 @@
-"""Batch-vectorised injection engine: parity, compaction, wiring.
+"""Batch injection engine: parity, compaction, wiring.
 
 The contract under test is absolute: for any batch size, worker count
 and shard composition, the batch engine must reproduce the scalar
 pruned engine's records *and* pruning statistics bit for bit
 (``CampaignResult.digest()`` equality is the campaign-level corollary).
+The engine runs on the compiled kernel; campaign-level tests also pass
+without it, because a batch campaign then runs the scalar engine.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.faults import (
     Fault,
     FaultKind,
     InjectionEngine,
+    cext_available,
     run_campaign,
     sample_flops,
     schedule_faults,
@@ -28,6 +31,9 @@ from repro.faults import (
 from repro.faults.parallel import sampling_rng, schedule_rng
 
 QUICK = CampaignConfig.quick()
+
+needs_cext = pytest.mark.skipif(not cext_available(),
+                                reason="compiled kernel unavailable")
 
 
 # -- campaign-level digest parity --------------------------------------------
@@ -69,6 +75,7 @@ def _assert_engine_parity(golden, faults, cfg, prune=True, **batch_kwargs):
     assert engine.stats.as_dict() == scalar.stats.as_dict()
 
 
+@needs_cext
 @pytest.mark.parametrize("trial,batch", ((0, 3), (1, 17), (2, 128)))
 def test_random_shard_parity(ttsprk_golden, trial, batch):
     """Random flop subsets through both engines: records + stats equal."""
@@ -81,14 +88,16 @@ def test_random_shard_parity(ttsprk_golden, trial, batch):
     _assert_engine_parity(ttsprk_golden, faults, cfg, batch=batch)
 
 
+@needs_cext
 def test_pure_kernel_parity(ttsprk_golden):
-    """tail_lanes=0 disables the scalar drain: the vectorised kernel
+    """tail_lanes=0 disables the scalar drain: the compiled kernel
     alone must carry every lane to retirement, bit-identically."""
     cfg = QUICK
     faults = _shard_faults(ttsprk_golden, range(10), cfg)
     _assert_engine_parity(ttsprk_golden, faults, cfg, batch=16, tail_lanes=0)
 
 
+@needs_cext
 def test_unpruned_parity(ttsprk_golden):
     """prune=False is an escape hatch in both engines; still identical."""
     cfg = QUICK
@@ -96,8 +105,30 @@ def test_unpruned_parity(ttsprk_golden):
     _assert_engine_parity(ttsprk_golden, faults, cfg, prune=False, batch=8)
 
 
+@needs_cext
+def test_unparked_lane_raises(ttsprk_golden):
+    """The driver trusts drive() to park every lane at an event; a lane
+    returned unparked (here: a drive that steps nothing) is an error,
+    not a silent detection."""
+    cfg = QUICK
+    faults = _shard_faults(ttsprk_golden, range(4), cfg)
+    engine = BatchInjectionEngine(ttsprk_golden, max_observe=cfg.max_observe,
+                                  mask_check_stride=cfg.mask_check_stride,
+                                  batch=32, tail_lanes=0)
+
+    class NoOpDrive:
+        @staticmethod
+        def drive(*args):
+            return 0, 0
+
+    engine._cext = NoOpDrive()
+    with pytest.raises(RuntimeError, match="unparked"):
+        engine.inject_all(faults)
+
+
 # -- dynamic equivalence collapsing ------------------------------------------
 
+@needs_cext
 def test_equivalence_collapse_fires(ttsprk_golden):
     """Two soft faults on one (reg, bit) deferring to the same
     soft_start collapse into a single simulation, in both engines.
@@ -135,6 +166,7 @@ def test_equivalence_collapse_fires(ttsprk_golden):
 
 # -- lane compaction ---------------------------------------------------------
 
+@needs_cext
 def test_lane_compaction(ttsprk_golden):
     """Retired columns are filled by live tail columns, one move each."""
     engine = BatchInjectionEngine(ttsprk_golden, batch=4)
@@ -171,6 +203,7 @@ def test_lane_compaction(ttsprk_golden):
     assert engine.info[:2] == ["lane0", "lane2"]
 
 
+@needs_cext
 def test_seed_many_matches_scalar_seed(ttsprk_golden):
     """Bulk lane seeding reproduces the scalar reference lane-for-lane."""
     from collections import deque
@@ -206,6 +239,7 @@ def test_seed_many_matches_scalar_seed(ttsprk_golden):
     assert scalar.info == bulk.info
 
 
+@needs_cext
 def test_seed_many_respects_batch_room(ttsprk_golden):
     """Refill takes exactly ``batch - n`` specs, leaving the rest queued."""
     from collections import deque
@@ -222,6 +256,7 @@ def test_seed_many_respects_batch_room(ttsprk_golden):
     assert specs[0][0] == 4  # queue order preserved
 
 
+@needs_cext
 def test_compact_last_lane_only():
     """Retiring the final live lane is a pure shrink, no column moves."""
     from repro.faults import GoldenTrace

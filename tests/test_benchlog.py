@@ -3,8 +3,8 @@
 The history file is append-only across PRs, so it permanently holds
 rows written before newer knobs existed (e.g. ``batch_sweep`` rows
 without ``batch_cext``).  These tests pin the contract the CI
-throughput gates rely on: skip-don't-crash on old rows, absorb the
-legacy schema-1 single-payload file, refuse future schemas.
+throughput gates rely on: skip-don't-crash on old rows, warn on
+unreadable files, refuse future schemas.
 """
 
 import json
@@ -29,16 +29,15 @@ def test_missing_file_is_empty_history(tmp_path):
     assert latest_entry(tmp_path / "nope.json", "batch_sweep") is None
 
 
-def test_legacy_schema1_payload_absorbed_as_pruning_entry(tmp_path):
+def test_bare_object_file_warns_and_returns_empty(tmp_path):
+    """A bare JSON object (the retired schema-1 single-payload shape)
+    is unreadable history, like any other non-container file."""
     path = tmp_path / "bench.json"
     write(path, {"total_faults": 324, "skipped": {"soft": 10}})
-    entries = load_entries(path)
-    assert len(entries) == 1
-    assert entries[0]["kind"] == "pruning"
-    assert entries[0]["timestamp"] is None
-    assert entries[0]["total_faults"] == 324
-    assert latest_entry(path, "pruning", require=("skipped.soft",)) \
-        is entries[0] or latest_entry(path, "pruning")["total_faults"] == 324
+    with pytest.warns(RuntimeWarning, match="no entries list"):
+        assert load_entries(path) == []
+    with pytest.warns(RuntimeWarning, match="no entries list"):
+        assert latest_entry(path, "pruning") is None
 
 
 def test_latest_entry_skips_rows_missing_required_keys(tmp_path):
@@ -100,9 +99,10 @@ def test_non_dict_entries_are_dropped(tmp_path):
     assert entries == [{"kind": "pruning", "total_faults": 1}]
 
 
-def test_append_migrates_legacy_file_to_current_container(tmp_path):
+def test_append_keeps_history_in_current_container(tmp_path):
     path = tmp_path / "bench.json"
-    write(path, {"total_faults": 324})
+    write(path, {"schema": CURRENT_SCHEMA,
+                 "entries": [{"kind": "pruning", "total_faults": 324}]})
     entry = append_entry(path, "batch_sweep",
                          {"injections_per_s": {"scalar": 1.0}})
     assert entry["kind"] == "batch_sweep"
@@ -111,7 +111,7 @@ def test_append_migrates_legacy_file_to_current_container(tmp_path):
     assert payload["schema"] == CURRENT_SCHEMA
     kinds = [row["kind"] for row in payload["entries"]]
     assert kinds == ["pruning", "batch_sweep"]
-    # The migrated legacy payload is preserved verbatim.
+    # Earlier rows are preserved verbatim.
     assert payload["entries"][0]["total_faults"] == 324
 
 

@@ -1,33 +1,34 @@
-"""Kernel backend registry and compiled-kernel parity.
+"""Kernel selection and compiled-kernel parity.
 
 Two layers of guarantee around the C extension:
 
-* **registry semantics** — ``auto`` silently downgrades, explicit
-  ``cext`` fails loudly, ``REPRO_KERNEL`` steers defaults, and every
-  backend produces byte-identical campaign results;
-* **per-cycle state parity** — stronger than digest equality: a mirror
-  engine steps the numpy and C kernels side by side on real fault
-  workloads and holds the *entire* SoA state and memory matrices equal
-  after every cycle, so a kernel bug cannot hide behind digest
-  collisions or late masking.
+* **selection semantics** — ``auto`` silently falls back to the scalar
+  engine (``None``), explicit ``cext`` fails loudly, and every engine
+  produces byte-identical campaign results;
+* **per-cycle state parity** — stronger than digest equality: the C
+  ``step`` and the scalar ``Cpu.step`` (the semantic source) advance
+  the same faulty lanes side by side, and every lane's full flop state,
+  port tuple and memory must agree after every cycle, so a kernel bug
+  cannot hide behind digest collisions or late masking.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cpu.core import Cpu
+from repro.cpu.memory import Memory
 from repro.faults import (
     BatchInjectionEngine,
     CampaignConfig,
     InjectionEngine,
-    KERNEL_BREAKEVEN_LANES,
     KERNEL_CHOICES,
-    breakeven_lanes,
     cext_available,
     resolve_kernel,
     resolve_threads,
@@ -36,7 +37,15 @@ from repro.faults import (
     schedule_faults,
 )
 from repro.faults import _cstep, kernels
-from repro.faults.batch import _cext_tables
+from repro.faults.batch import (
+    BR_TAKEN,
+    BR_VALID,
+    HALTED,
+    N_REGS,
+    PORT_ROWS16,
+    STATUS,
+    _cext_tables,
+)
 from repro.faults.parallel import sampling_rng, schedule_rng
 
 QUICK = CampaignConfig.quick()
@@ -46,20 +55,15 @@ needs_cext = pytest.mark.skipif(
     reason=f"compiled kernel unavailable: {kernels.cext_build_error()}")
 
 
-# -- registry ----------------------------------------------------------------
+# -- selection ---------------------------------------------------------------
 
 def test_kernel_choices_stable():
-    assert KERNEL_CHOICES == ("auto", "cext", "numpy")
+    assert KERNEL_CHOICES == ("auto", "cext")
 
 
 def test_resolve_auto_picks_a_backend():
-    assert resolve_kernel("auto") == (
-        "cext" if cext_available() else "numpy")
+    assert resolve_kernel("auto") == ("cext" if cext_available() else None)
     assert resolve_kernel(None) == resolve_kernel("auto")
-
-
-def test_resolve_numpy_always_works():
-    assert resolve_kernel("numpy") == "numpy"
 
 
 def test_resolve_rejects_unknown():
@@ -67,59 +71,53 @@ def test_resolve_rejects_unknown():
         resolve_kernel("fortran")
 
 
-def test_env_var_steers_default(monkeypatch):
-    monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
-    assert resolve_kernel(None) == "numpy"
-    # An explicit argument wins over the environment.
-    assert resolve_kernel("auto") == (
-        "cext" if cext_available() else "numpy")
+def test_resolve_rejects_numpy():
+    """The numpy step kernel is retired: naming it is an error, not a
+    silent switch to some other engine."""
+    with pytest.raises(ValueError, match="unknown kernel"):
+        resolve_kernel("numpy")
 
 
-def test_explicit_cext_fails_loudly_when_unavailable(monkeypatch):
+def test_kernel_env_var_is_ignored(monkeypatch):
+    """``REPRO_KERNEL`` no longer steers the default: a stale setting
+    (e.g. the retired ``numpy``) neither errors nor changes the pick."""
+    monkeypatch.setenv("REPRO_KERNEL", "numpy")
+    assert resolve_kernel(None) == ("cext" if cext_available() else None)
+
+
+def test_explicit_cext_fails_loudly_when_unavailable(monkeypatch,
+                                                     ttsprk_golden):
     monkeypatch.setattr(_cstep, "MODULE", None)
     monkeypatch.setattr(_cstep, "BUILD_ERROR", "no compiler on this host")
-    assert resolve_kernel("auto") == "numpy"  # silent downgrade
+    assert resolve_kernel("auto") is None  # silent scalar fallback
     with pytest.raises(RuntimeError, match="no compiler on this host"):
         resolve_kernel("cext")
+    with pytest.raises(RuntimeError, match="no compiler on this host"):
+        BatchInjectionEngine(ttsprk_golden)
 
 
+def test_no_extension_falls_back_to_scalar(monkeypatch, quick_campaign):
+    """Without the compiled kernel a batch campaign runs the scalar
+    engine and keeps the scalar digest and pruning stats."""
+    monkeypatch.setattr(_cstep, "MODULE", None)
+    monkeypatch.setattr(_cstep, "BUILD_ERROR", "no compiler on this host")
+    assert resolve_kernel("auto") is None
+    with pytest.raises(RuntimeError, match="no compiler on this host"):
+        resolve_kernel("cext")
+    result = run_campaign(QUICK, workers=1, batch=64)
+    assert result.meta["kernel"] is None
+    assert result.meta["batch"] == 64
+    assert result.digest() == quick_campaign.digest()
+    assert result.meta["pruning"] == quick_campaign.meta["pruning"]
+
+
+@needs_cext
 def test_engine_records_resolved_kernel(ttsprk_golden):
-    engine = BatchInjectionEngine(ttsprk_golden, kernel="numpy")
-    assert engine.kernel == "numpy"
-    assert engine._cext is None
-    auto = BatchInjectionEngine(ttsprk_golden)
-    assert auto.kernel == ("cext" if cext_available() else "numpy")
+    engine = BatchInjectionEngine(ttsprk_golden)
+    assert engine._cext is kernels.cext_module()
 
 
-# -- per-cycle SoA parity (stronger than digest) ------------------------------
-
-class _MirrorEngine(BatchInjectionEngine):
-    """numpy-kernel engine that replays every step through the C kernel.
-
-    After each vectorized ``_step`` the C ``step`` runs on a snapshot
-    of the pre-step state; the two resulting (state, memory) matrices
-    must agree in every lane, every row, every cycle.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, kernel="numpy", **kwargs)
-        self._mod = kernels.cext_module()
-        self._ctables = _cext_tables()
-        self.steps_checked = 0
-
-    def _step(self, n: int) -> None:
-        S2 = self.S.copy()
-        M2 = self.M.copy()
-        super()._step(n)
-        self._mod.step(S2, M2, self._stim, self._ctables, n)
-        np.testing.assert_array_equal(
-            S2[:, :n], self.S[:, :n],
-            err_msg=f"C step diverged from numpy step ({n} lanes)")
-        np.testing.assert_array_equal(
-            M2[:n], self.M[:n],
-            err_msg=f"C step diverged from numpy step memory ({n} lanes)")
-        self.steps_checked += 1
-
+# -- per-cycle C step vs Cpu.step (stronger than digest) ----------------------
 
 def _shard_faults(golden, flop_idxs, cfg):
     flops = sample_flops(cfg, sampling_rng(cfg.seed))
@@ -131,22 +129,62 @@ def _shard_faults(golden, flop_idxs, cfg):
     return faults
 
 
+def _port_tuple(S, i):
+    """Lane ``i``'s compact port tuple, as ``Cpu.step`` returns it."""
+    return tuple(S[PORT_ROWS16, i].tolist()) + (
+        int(S[STATUS, i] & 1) | int(S[HALTED, i]) << 1,
+        int(S[BR_TAKEN, i]) | int(S[BR_VALID, i]) << 1)
+
+
 @needs_cext
 @pytest.mark.parametrize("trial,batch", ((0, 8), (1, 32)))
 def test_per_cycle_state_parity(ttsprk_golden, trial, batch):
-    """Full SoA matrix equality between kernels, every cycle, on a
-    random shard of real faults (tail_lanes=0: no scalar drain)."""
+    """Every lane's state, ports and memory after the C ``step`` equal
+    the scalar ``Cpu.step`` of the same pre-step lane, every cycle.
+
+    Lanes are seeded from a random shard of real faults (flips applied,
+    stuck-at forces re-asserted before each step as ``drive()`` does),
+    so the comparison covers faulty — not just golden — states.  Each
+    lane is read into a ``Cpu`` exactly as the scalar drain does it.
+    """
+    golden = ttsprk_golden
     cfg = QUICK
     n_flops = len(sample_flops(cfg, sampling_rng(cfg.seed)))
     rnd = random.Random(5150 + trial)
     idxs = sorted(rnd.sample(range(n_flops), k=min(8, n_flops)))
-    faults = _shard_faults(ttsprk_golden, idxs, cfg)
+    faults = [f for f in _shard_faults(golden, idxs, cfg)
+              if f.cycle < golden.n_cycles - 1]
+    faults = rnd.sample(faults, k=min(batch, len(faults)))
     assert faults
-    engine = _MirrorEngine(ttsprk_golden, max_observe=cfg.max_observe,
-                           mask_check_stride=cfg.mask_check_stride,
-                           batch=batch, tail_lanes=0)
-    engine.inject_all(faults)
-    assert engine.steps_checked > 0  # the mirror actually ran
+    engine = BatchInjectionEngine(golden, batch=batch)
+    engine._seed_many(deque(
+        (seq, fault, fault.cycle, golden.n_cycles, None)
+        for seq, fault in enumerate(faults)))
+    n = engine._n
+    S, M = engine.S, engine.M
+    mod = kernels.cext_module()
+    tables = _cext_tables()
+    cpu = Cpu(Memory(golden.mem_words), golden.stimulus)
+    lanes = np.arange(n)
+    rows = engine.force_row[:n]
+    checked = 0
+    for _cycle in range(200):
+        S[rows, lanes] = ((S[rows, lanes] & engine.force_and[:n])
+                          | engine.force_or[:n])
+        S0, M0 = S.copy(), M.copy()
+        mod.step(S, M, engine._stim, tables, n)
+        for i in range(n):
+            if S0[HALTED, i]:
+                continue  # Cpu.step freezes a halted core; drive() never steps one
+            cpu.restore(tuple(S0[:N_REGS, i].tolist()))
+            cpu.mem.words[:] = M0[i].tolist()
+            assert cpu.step() == _port_tuple(S0, i), f"lane {i} ports"
+            assert cpu.snapshot() == tuple(S[:N_REGS, i].tolist()), \
+                f"lane {i}: C step diverged from Cpu.step"
+            assert cpu.mem.words == M[i].tolist(), \
+                f"lane {i}: C step memory diverged from Cpu.step"
+            checked += 1
+    assert checked >= n * 100  # the oracle actually ran
 
 
 # -- engine-level parity through the fused drive loop ------------------------
@@ -158,7 +196,7 @@ def _assert_cext_parity(golden, faults, cfg, prune=True, **batch_kwargs):
     expected = [scalar.inject(f) for f in faults]
     engine = BatchInjectionEngine(golden, max_observe=cfg.max_observe,
                                   mask_check_stride=cfg.mask_check_stride,
-                                  prune=prune, kernel="cext", **batch_kwargs)
+                                  prune=prune, **batch_kwargs)
     assert engine.inject_all(faults) == expected
     assert engine.stats.as_dict() == scalar.stats.as_dict()
 
@@ -178,8 +216,8 @@ def test_cext_random_shard_parity(ttsprk_golden, trial, batch):
 
 @needs_cext
 def test_cext_with_scalar_drain_parity(ttsprk_golden):
-    """A nonzero tail_lanes hands stragglers to the scalar drain even
-    under the C kernel; the handoff must stay digest-neutral."""
+    """A nonzero tail_lanes hands stragglers to the scalar drain; the
+    handoff must stay digest-neutral."""
     cfg = QUICK
     faults = _shard_faults(ttsprk_golden, range(10), cfg)
     _assert_cext_parity(ttsprk_golden, faults, cfg, batch=16, tail_lanes=8)
@@ -196,12 +234,12 @@ def test_cext_unpruned_parity(ttsprk_golden):
 
 @needs_cext
 def test_campaign_kernel_digest_parity(quick_campaign):
-    """digest() + pruning stats identical for both kernel backends."""
-    for kernel in ("cext", "numpy"):
+    """digest() + pruning stats identical for every kernel request."""
+    for kernel in ("cext", "auto", None):
         result = run_campaign(QUICK, workers=1, batch=64, kernel=kernel)
         assert result.digest() == quick_campaign.digest()
         assert result.meta["pruning"] == quick_campaign.meta["pruning"]
-        assert result.meta["kernel"] == kernel
+        assert result.meta["kernel"] == "cext"
 
 
 def test_campaign_meta_kernel_none_for_scalar(quick_campaign):
@@ -209,33 +247,22 @@ def test_campaign_meta_kernel_none_for_scalar(quick_campaign):
     assert quick_campaign.meta.get("kernel") is None
 
 
-# -- per-kernel scalar-drain breakeven ----------------------------------------
+# -- scalar-drain tail --------------------------------------------------------
 
-def test_breakeven_is_per_kernel():
-    """The numpy constant must not leak onto the cext path: the
-    compiled kernel's only fixed cost is one C call, so its breakeven
-    is a handful of lanes, not ~192."""
-    assert KERNEL_BREAKEVEN_LANES["numpy"] == 192
-    assert KERNEL_BREAKEVEN_LANES["cext"] <= 16
-    assert breakeven_lanes("numpy") == 192
-    assert breakeven_lanes("cext") == KERNEL_BREAKEVEN_LANES["cext"]
-    with pytest.raises(ValueError, match="unknown kernel"):
-        breakeven_lanes("auto")  # only concrete backends have one
+def test_tail_lanes_is_a_handful():
+    """The compiled kernel's only fixed cost is one C call plus lane
+    re-packing, so the scalar drain takes over at a handful of lanes."""
+    assert 0 < kernels.TAIL_LANES <= 16
 
 
+@needs_cext
 def test_engine_tail_lanes_kernel_aware(ttsprk_golden):
-    numpy_engine = BatchInjectionEngine(ttsprk_golden, kernel="numpy",
-                                        batch=256)
-    assert numpy_engine._tail_lanes == 192
+    engine = BatchInjectionEngine(ttsprk_golden, batch=256)
+    assert engine._tail_lanes == kernels.TAIL_LANES
     # Narrow batches cap at the batch size (whole run drains scalar).
-    assert BatchInjectionEngine(ttsprk_golden, kernel="numpy",
-                                batch=64)._tail_lanes == 64
-    if cext_available():
-        cext_engine = BatchInjectionEngine(ttsprk_golden, kernel="cext",
-                                           batch=256)
-        assert cext_engine._tail_lanes == breakeven_lanes("cext")
+    assert BatchInjectionEngine(ttsprk_golden, batch=4)._tail_lanes == 4
     # An explicit tail_lanes always wins.
-    assert BatchInjectionEngine(ttsprk_golden, kernel="numpy",
+    assert BatchInjectionEngine(ttsprk_golden,
                                 tail_lanes=7)._tail_lanes == 7
 
 
@@ -263,12 +290,12 @@ def test_resolve_threads_autosize(monkeypatch):
     assert resolve_threads(None, lanes=8) == 1
 
 
+@needs_cext
 def test_engine_records_threads(ttsprk_golden, monkeypatch):
     monkeypatch.delenv(kernels.THREADS_ENV, raising=False)
-    engine = BatchInjectionEngine(ttsprk_golden, kernel="numpy",
-                                  batch=64, threads=5)
+    engine = BatchInjectionEngine(ttsprk_golden, batch=64, threads=5)
     assert engine.threads == 5
-    auto = BatchInjectionEngine(ttsprk_golden, kernel="numpy", batch=32)
+    auto = BatchInjectionEngine(ttsprk_golden, batch=32)
     assert auto.threads >= 1
 
 
@@ -299,7 +326,7 @@ def test_cext_pool_spawns_workers(ttsprk_golden):
     faults = _shard_faults(ttsprk_golden, range(6), cfg)
     engine = BatchInjectionEngine(ttsprk_golden, max_observe=cfg.max_observe,
                                   mask_check_stride=cfg.mask_check_stride,
-                                  kernel="cext", batch=32, threads=3,
+                                  batch=32, threads=3,
                                   tail_lanes=0)
     engine.inject_all(faults)
     assert kernels.cext_module().pool_size() >= 2
@@ -330,6 +357,6 @@ def test_any_threads_batch_reproduces_serial(ttsprk_golden, threads, batch):
     faults, records, stats = _serial_reference(ttsprk_golden, cfg)
     engine = BatchInjectionEngine(ttsprk_golden, max_observe=cfg.max_observe,
                                   mask_check_stride=cfg.mask_check_stride,
-                                  kernel="cext", batch=batch, threads=threads)
+                                  batch=batch, threads=threads)
     assert engine.inject_all(faults) == records
     assert engine.stats.as_dict() == stats
